@@ -146,8 +146,9 @@ def isotypic_grid_function(grid: Grid4D, f: IsotypicFunction) -> GridFunction:
     """Sample the additive form of an isotypic function on the grid.
 
     The log-profile is interpolated by a cubic spline from its native grid
-    (error ~ h^4, far below the 4D box's own discretization budget); the
-    exact trigonometric evaluation would cost M^4 spectral sums.
+    (error ~ h^4, far below the 4D box's own discretization budget) rather
+    than evaluated by profile_value, so that the 4D oracle stays
+    independent of the spectral line's off-grid evaluation it checks.
     """
     spline = CubicSpline(f.log_profile.grid, f.log_profile.samples)
     ax = grid.axis()
@@ -431,8 +432,9 @@ def homogeneity_check(
     for the additive form phi of f.  H(phi) comes from the spectral route;
     both pairings are evaluated by radial-angular quadrature (the angular
     factor, the class-measure mean of chi_N^2, is computed numerically and
-    the radial factor on a uniform grid in u = log|x| off the profile's
-    native nodes).
+    the radial factor on a uniform grid in u = log|x|, evaluated through
+    profile_value; with the default spacing 1/32 from 0 the u-nodes are a
+    subset of the profile's native 1/64 v-nodes).
     """
     if N != f.N:
         raise ValueError("N must match the sector of f")

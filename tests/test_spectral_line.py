@@ -1,8 +1,8 @@
 """Transforms, multipliers, and evaluation on the spectral line.
 
 The Gaussian pair K(v) = e^{-v^2/2} <-> psi(tau) = sqrt(2 pi) e^{-tau^2/2}
-is the closed-form anchor; the fast chirp-z path is cross-checked against
-direct summation.
+is the closed-form anchor; the fast chirp-z path and the NUFFT behind
+profile_value are cross-checked against direct summation.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from quatgamma import AliasingError, DecayError
+from quatgamma.gamma_op import gamma_transform, gaussian_isotypic, op_B, op_H
 from quatgamma.specfun import gamma_multiplier
 from quatgamma.spectral_line import (
     LogProfile,
@@ -23,6 +24,19 @@ from quatgamma.spectral_line import (
     profile_value,
     to_spectral,
 )
+
+
+def _profile_value_direct(
+    psi: SpectralProfile, v: np.ndarray, chunk: int = 256
+) -> np.ndarray:
+    """Reference for profile_value: the dense off-grid spectral sum."""
+    tau = psi.grid
+    out = np.empty(len(v), dtype=complex)
+    for lo in range(0, len(v), chunk):
+        out[lo : lo + chunk] = np.exp(-1j * np.outer(v[lo : lo + chunk], tau)) @ (
+            psi.samples
+        )
+    return psi.spacing / (2.0 * np.pi) * out
 
 
 def gaussian_log_profile(center: float = 0.0, width: float = 1.0) -> LogProfile:
@@ -156,6 +170,43 @@ def test_profile_value_on_and_off_grid():
     # off-grid agreement with the closed form
     for v in (0.123456, -2.71828, 0.5 + 1.0 / 3.0):
         assert abs(profile_value(psi, v) - np.exp(-0.5 * v**2)) <= 1e-10
+
+
+PIN_TARGETS = np.concatenate(
+    [
+        np.random.default_rng(2024).uniform(-64.0, 64.0, 600),
+        np.arange(-64, 65) / 64.0,  # exactly on the native v-nodes
+        [-64.0, 64.0, -500.0, 500.0, -401.9, 1000.0 / 3.0],  # beyond the window
+    ]
+)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5])
+def test_profile_value_matches_dense_sum(N):
+    # Gamma f has a psi that is not even, so it exposes a wrong FFT sign
+    # that f and H f (even psi) hide
+    f = gaussian_isotypic(N)
+    for g in (f, op_H(f), gamma_transform(f), op_B(f)):
+        psi = g.spectral_profile
+        peak = np.max(np.abs(g.log_profile.samples))
+        fast = profile_value(psi, PIN_TARGETS)
+        dense = _profile_value_direct(psi, PIN_TARGETS)
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * peak
+
+
+def test_profile_value_scalar_empty_and_shape():
+    g = gamma_transform(gaussian_isotypic(1))
+    psi = g.spectral_profile
+    peak = np.max(np.abs(g.log_profile.samples))
+    for v in (0.3, -17.25, 500.0):
+        val = profile_value(psi, v)
+        assert isinstance(val, complex)
+        assert abs(val - _profile_value_direct(psi, np.array([v]))[0]) <= 1e-12 * peak
+    empty = profile_value(psi, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == complex
+    block = PIN_TARGETS[:600].reshape(20, 30)
+    flat = profile_value(psi, block.ravel())
+    assert np.array_equal(profile_value(psi, block), flat.reshape(20, 30))
 
 
 # ------------------------------------------------------------------ invariants
