@@ -19,9 +19,10 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -30,7 +31,14 @@ from scipy.interpolate import CubicSpline
 from ._errors import QuadratureError
 from .gamma_op import SQRT_2PI2, IsotypicFunction, op_H, to_additive
 from .quat_core import Quaternion, class_angle
-from .specfun import LOG_2PI, gamma_factor, gamma_log_derivative, log_gamma
+from .specfun import (
+    LOG_2PI,
+    ArrayLike,
+    _check_strip,
+    gamma_factor,
+    gamma_log_derivative,
+    log_gamma,
+)
 from .spectral_line import profile_value
 from .su2_angular import angular_bessel, angular_quadrature, character
 
@@ -60,6 +68,10 @@ DECAY_SURROGATE_BOUND = 1e-8
 
 DEFAULT_GRID_EXTENT = 2.0
 DEFAULT_GRID_POINTS = 33
+
+# s-values per exponent block in gaussian_moment_quadrature: a block's
+# complex matrix is 32 x 2,592 (1.3 MB) at the default 16 nodes per panel
+_MOMENT_BLOCK = 32
 
 
 # ------------------------------------------------------------------ 4D grids
@@ -228,7 +240,7 @@ def radial_fourier(
     prev = None
     n = 128
     for _ in range(max_doublings + 1):
-        x, w = leggauss(n)
+        x, w = _legendre_rule(n)
         r = 0.5 * r_max * (x + 1.0)
         wr = 0.5 * r_max * w
         q = np.asarray(radial(r), dtype=complex)
@@ -250,8 +262,18 @@ def radial_fourier(
 # ----------------------------------------------- regularized distributions
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n and
+    shared read-only by every caller."""
+    x, w = leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gauss_panels(edges: np.ndarray, nodes_per_panel: int):
-    x, w = leggauss(nodes_per_panel)
+    x, w = _legendre_rule(nodes_per_panel)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -371,25 +393,35 @@ class HomogeneousDistribution:
 # ------------------------------------------------------- Gaussian moments
 
 
-def gaussian_moment(N: int, s: complex) -> complex:
+def _strip_points(s: ArrayLike) -> np.ndarray:
+    arr = np.asarray(s, dtype=complex)
+    _check_strip(arr)
+    return arr
+
+
+def _scalar_or_array(out, kind: type):
+    out = np.asarray(out)
+    return kind(out) if out.ndim == 0 else out
+
+
+def gaussian_moment(N: int, s: ArrayLike) -> ArrayLike:
     """Closed form of the Gaussian moment with weight |y|^{s-1-N/4}:
 
         int n(y)^N e^{-2 pi n(y)} |y|^{s-1-N/4} dy
             = 4 pi^2 (2 pi)^{-(2s+N/2)} Gamma(2s + N/2),
 
     by the radial rule (the integrand is central, so the angular average
-    is 1 and the power of r collapses to 4s+N-1).
+    is 1 and the power of r collapses to 4s+N-1).  s may be a scalar or an
+    array of any shape, every element in the open strip 0 < Re(s) < 1;
+    an array comes back with its shape, a scalar as a Python complex.
     """
-    s = complex(s)
-    if not 0.0 < s.real < 1.0:
-        raise ValueError("s must lie in the open strip 0 < Re(s) < 1")
+    s = _strip_points(s)
     a = 2.0 * s + 0.5 * N
-    return complex(4.0 * np.pi**2 * np.exp(-a * LOG_2PI + log_gamma(a)))
+    out = 4.0 * np.pi**2 * np.exp(-a * LOG_2PI + log_gamma(a))
+    return _scalar_or_array(out, complex)
 
 
-def gaussian_moment_quadrature(
-    N: int, s: complex, nodes_per_panel: int = 16
-) -> complex:
+def gaussian_moment_quadrature(N: int, s: ArrayLike, nodes_per_panel: int = 16) -> ArrayLike:
     """The same moment by direct radial quadrature in u = log r:
 
         8 pi^2 int e^{(4s+N)u} e^{-2 pi e^{2u}} du
@@ -397,21 +429,37 @@ def gaussian_moment_quadrature(
     over u in [-160, log 5]; the lower tail is below 1e-12 relative for
     Re(s) >= 1/21, the smallest strip-grid abscissa, and the upper cutoff
     sits at e^{-50 pi}.
+
+    s may be a scalar or an array of any shape, as in gaussian_moment.
+    The panel rule comes from a cache (one Gauss-Legendre rule per
+    nodes_per_panel) and the s-independent exponent N u - 2 pi e^{2u} is
+    formed once per call; the s-dependent part is exponentiated for at
+    most _MOMENT_BLOCK values of s at a time, which bounds the temporary
+    matrix, and each value's sum is its own row's np.sum, so results do
+    not depend on the block size or the thread count.
     """
-    s = complex(s)
-    if not 0.0 < s.real < 1.0:
-        raise ValueError("s must lie in the open strip 0 < Re(s) < 1")
+    s = _strip_points(s)
     edges = np.linspace(-160.0, math.log(5.0), 163)
     u, w = _gauss_panels(edges, nodes_per_panel)
-    integrand = np.exp((4.0 * s + N) * u - 2.0 * np.pi * np.exp(2.0 * u))
-    return complex(8.0 * np.pi**2 * np.sum(w * integrand))
+    base = N * u - 2.0 * np.pi * np.exp(2.0 * u)
+    flat = s.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    for i in range(0, flat.size, _MOMENT_BLOCK):
+        terms = np.multiply.outer(4.0 * flat[i : i + _MOMENT_BLOCK], u)
+        terms += base
+        np.exp(terms, out=terms)
+        terms *= w
+        out[i : i + _MOMENT_BLOCK] = np.sum(terms, axis=1)
+    return _scalar_or_array(8.0 * np.pi**2 * out.reshape(s.shape), complex)
 
 
-def functional_equation_residual(N: int, s: complex) -> float:
-    """Relative residual of i^N moment(N, s) = Gamma_N(s) moment(N, 1-s)."""
+def functional_equation_residual(N: int, s: ArrayLike) -> ArrayLike:
+    """Relative residual of i^N moment(N, s) = Gamma_N(s) moment(N, 1-s),
+    elementwise for array s (a Python float for a scalar)."""
+    s = _strip_points(s)
     lhs = 1j**N * gaussian_moment(N, s)
     rhs = gamma_factor(N, s) * gaussian_moment(N, 1.0 - s)
-    return float(abs(lhs - rhs) / abs(rhs))
+    return _scalar_or_array(np.abs(lhs - rhs) / np.abs(rhs), float)
 
 
 # ------------------------------------------------------------- dual routes

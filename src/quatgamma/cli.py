@@ -24,7 +24,7 @@ import os
 import re
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from ._errors import AliasingError, DecayError, NonConvergenceError, QuadratureError
@@ -35,6 +35,10 @@ _THREAD_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
+
+
+# largest tau or strip grid a command accepts, counted before any allocation
+_MAX_GRID_POINTS = 1_000_000
 
 
 class _UsageError(ValueError):
@@ -58,23 +62,19 @@ def _manifest(command: str, **params: object) -> Dict[str, object]:
     return out
 
 
-def _cell(value: object) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
-
-
 def _write_csv(
     path: str,
     manifest: Dict[str, object],
     header: Sequence[str],
-    rows: Sequence[Sequence[object]],
+    rows: Iterable[Tuple[object, ...]],
 ) -> None:
+    """One row format per table: the sector column N is an integer, every
+    other column a Python float printed with 17 significant digits."""
+    fmt = ",".join("%d" if name == "N" else "%.17g" for name in header) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# " + json.dumps(manifest, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(c) for c in row) + "\n")
+        fh.writelines(fmt % row for row in rows)
 
 
 def _summary_path(out: str) -> str:
@@ -87,6 +87,11 @@ def _write_json(path: str, payload: Dict[str, object]) -> None:
         fh.write("\n")
 
 
+def _check_grid_size(count: float, what: str) -> None:
+    if count > _MAX_GRID_POINTS:
+        raise _UsageError(f"{what} asks for {count:.3g} grid points; the limit is {_MAX_GRID_POINTS}")
+
+
 def _parse_s_grid(text: str) -> List[complex]:
     """'RxM' -> R interior real parts i/(R+1) times M imaginary parts on
     [-2, 2] (M = 1 collapses to the real axis).  '0x0' is the legal empty
@@ -95,6 +100,7 @@ def _parse_s_grid(text: str) -> List[complex]:
     if m is None:
         raise _UsageError(f"--s-grid must look like 20x20, got {text!r}")
     n_re, n_im = int(m.group(1)), int(m.group(2))
+    _check_grid_size(n_re * n_im, "--s-grid")
     if n_re == 0 or n_im == 0:
         return []
     sigmas = [i / (n_re + 1) for i in range(1, n_re + 1)]
@@ -118,13 +124,17 @@ def _parse_lambdas(text: str) -> Tuple[float, ...]:
 def _tau_grid(args: argparse.Namespace):
     if None in (args.tau_min, args.tau_max, args.tau_step):
         raise _UsageError("--tau-min, --tau-max and --tau-step are all required")
+    if not all(math.isfinite(v) for v in (args.tau_min, args.tau_max, args.tau_step)):
+        raise _UsageError("--tau-min, --tau-max and --tau-step must be finite")
     if args.tau_step <= 0.0:
         raise _UsageError("--tau-step must be positive")
     if args.tau_max < args.tau_min:
         raise _UsageError("--tau-max must be at least --tau-min")
+    span = (args.tau_max - args.tau_min) / args.tau_step
+    count = int(math.floor(span + 0.5)) + 1 if math.isfinite(span) else math.inf
+    _check_grid_size(count, "the tau grid")
     import numpy as np
 
-    count = int(math.floor((args.tau_max - args.tau_min) / args.tau_step + 0.5)) + 1
     return args.tau_min + args.tau_step * np.arange(count)
 
 
@@ -179,6 +189,7 @@ def cmd_gamma_table(args: argparse.Namespace) -> int:
 
     rows = []
     unit_err = 0.0
+    re_s, im_s = svals.real.tolist(), svals.imag.tolist()
     for n in sectors:
         if len(svals) == 0:
             break
@@ -186,8 +197,7 @@ def cmd_gamma_table(args: argparse.Namespace) -> int:
         mags = np.abs(vals)
         if tau_mode:
             unit_err = max(unit_err, float(np.max(np.abs(mags - 1.0))))
-        for s, val, mag in zip(svals, vals, mags):
-            rows.append((n, s.real, s.imag, val.real, val.imag, mag))
+        rows += zip([n] * len(svals), re_s, im_s, vals.real.tolist(), vals.imag.tolist(), mags.tolist())
 
     _write_csv(args.out, manifest, ("N", "re_s", "im_s", "re_gamma", "im_gamma", "abs_gamma"), rows)
     summary: Dict[str, object] = {
@@ -220,6 +230,7 @@ def cmd_spectral_scan(args: argparse.Namespace) -> int:
     )
 
     rows = []
+    tau_list = taus.tolist()
     min_h = math.inf
     min_h_at = (0, 0.0)
     max_k = -math.inf
@@ -233,8 +244,7 @@ def cmd_spectral_scan(args: argparse.Namespace) -> int:
         j = int(np.argmax(np.abs(k)))
         if abs(k[j]) > max_k:
             max_k, max_k_at = float(abs(k[j])), (n, float(taus[j]))
-        for t, hv, kv in zip(taus, h, k):
-            rows.append((n, float(t), float(hv), float(kv)))
+        rows += zip([n] * len(taus), tau_list, h.tolist(), k.tolist())
 
     _write_csv(args.out, manifest, ("N", "tau", "h", "k"), rows)
     _write_json(
@@ -260,23 +270,28 @@ def cmd_functional_eq(args: argparse.Namespace) -> int:
         "functional-eq", n_min=args.n_min, n_max=args.n_max, s_grid=args.s_grid
     )
 
+    import numpy as np
+
     from .additive_oracle import (
         functional_equation_residual,
         gaussian_moment,
         gaussian_moment_quadrature,
     )
 
+    svals = np.asarray(svals, dtype=complex)
+    re_s, im_s = svals.real.tolist(), svals.imag.tolist()
     rows = []
-    max_fe = None
-    max_quad = None
+    worst_fe: List[float] = []
+    worst_quad: List[float] = []
     for n in sectors:
-        for s in svals:
-            fe = functional_equation_residual(n, s)
-            closed = gaussian_moment(n, s)
-            quad = abs(gaussian_moment_quadrature(n, s) - closed) / abs(closed)
-            rows.append((n, s.real, s.imag, float(fe), float(quad)))
-            max_fe = fe if max_fe is None else max(max_fe, fe)
-            max_quad = quad if max_quad is None else max(max_quad, quad)
+        if len(svals) == 0:
+            break
+        fe = functional_equation_residual(n, svals)
+        closed = gaussian_moment(n, svals)
+        quad = np.abs(gaussian_moment_quadrature(n, svals) - closed) / np.abs(closed)
+        rows += zip([n] * len(svals), re_s, im_s, fe.tolist(), quad.tolist())
+        worst_fe.append(float(fe.max()))
+        worst_quad.append(float(quad.max()))
 
     _write_csv(
         args.out,
@@ -290,8 +305,8 @@ def cmd_functional_eq(args: argparse.Namespace) -> int:
             "manifest": manifest,
             "duration_seconds": time.monotonic() - start,
             "rows": len(rows),
-            "max_funceq_residual": max_fe,
-            "max_quad_residual": max_quad,
+            "max_funceq_residual": max(worst_fe, default=None),
+            "max_quad_residual": max(worst_quad, default=None),
         },
     )
     return 0

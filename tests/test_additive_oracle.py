@@ -298,6 +298,40 @@ def test_moment_strip_validation():
             gaussian_moment(0, bad)
 
 
+MOMENT_FUNCTIONS = (gaussian_moment, gaussian_moment_quadrature, functional_equation_residual)
+
+
+@pytest.mark.parametrize("N", [0, 3, 6])
+def test_moment_functions_array_matches_scalar_loop(N):
+    # 5 x 7 = 35 strip points: more than one quadrature block of 32
+    s = np.array([1.0 / 21.0, 0.3, 0.5, 0.77, 20.0 / 21.0])[:, None] + 1j * np.linspace(-2.0, 2.0, 7)
+    for fn in MOMENT_FUNCTIONS:
+        got = fn(N, s)
+        assert got.shape == s.shape
+        want = np.array([fn(N, complex(z)) for z in s.ravel()]).reshape(s.shape)
+        # the residual is itself relative, so it is compared on the scale 1
+        scale = np.maximum(np.abs(want), 1.0) if fn is functional_equation_residual else np.abs(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_moment_functions_scalar_and_empty():
+    for fn, kind in zip(MOMENT_FUNCTIONS, (complex, complex, float)):
+        assert type(fn(2, 0.3 + 0.7j)) is kind
+        assert type(fn(2, np.asarray(0.3 + 0.7j))) is kind
+        for shape in ((0,), (0, 3)):
+            assert fn(2, np.empty(shape, dtype=complex)).shape == shape
+
+
+def test_moment_functions_reject_any_point_off_strip():
+    good = np.full(40, 0.5 + 1.0j)
+    for bad in (0.0, 1.0, -0.2 + 0.5j, 1.3 + 1.0j):
+        s = good.copy()
+        s[37] = bad
+        for fn in MOMENT_FUNCTIONS:
+            with pytest.raises(ValueError):
+                fn(1, s)
+
+
 # ------------------------------------------------------------- dual routes
 
 

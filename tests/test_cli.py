@@ -129,6 +129,34 @@ def test_spectral_scan_summary_and_symmetries(tmp_path):
     assert summary["max_abs_k"] > 0.0
 
 
+def test_spectral_scan_rerun_bit_identical(tmp_path):
+    args = [
+        "spectral-scan",
+        "--n-min", "0", "--n-max", "3",
+        "--tau-min", "-3", "--tau-max", "3", "--tau-step", "0.125",
+    ]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_oversized_grids_refused_before_allocation(tmp_path):
+    # each of these would ask for far more memory than exists; the count is
+    # refused from the arguments alone, before any array is built
+    out = str(tmp_path / "x.csv")
+    tiny_step = ["--tau-min", "-1", "--tau-max", "1", "--tau-step", "1e-300"]
+    assert main(["spectral-scan"] + tiny_step + ["--out", out]) == 2
+    assert main(["gamma-table"] + tiny_step + ["--out", out]) == 2
+    assert main(["gamma-table", "--s-grid", "100000x100000", "--out", out]) == 2
+    assert main(["functional-eq", "--s-grid", "100000x100000", "--out", out]) == 2
+    overflow = ["--tau-min=-1e308", "--tau-max=1e308", "--tau-step=1e-3"]
+    assert main(["spectral-scan"] + overflow + ["--out", out]) == 2
+    nan_step = ["--tau-min", "0", "--tau-max", "1", "--tau-step", "nan"]
+    assert main(["spectral-scan"] + nan_step + ["--out", out]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 # -------------------------------------------------------------- functional-eq
 
 
@@ -147,6 +175,20 @@ def test_functional_eq_residuals(tmp_path):
     summary = read_summary(out)
     assert summary["max_funceq_residual"] <= 1e-10
     assert summary["max_quad_residual"] <= 1e-9
+
+
+def test_functional_eq_rerun_bit_identical(tmp_path):
+    # 2 x 20 = 40 strip points: the moment quadrature runs in two blocks
+    args = ["functional-eq", "--n-min", "0", "--n-max", "2", "--s-grid", "2x20"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    _, _, rows = read_table(a)
+    assert len(rows) == 3 * 40
+    for row in rows:
+        assert float(row[3]) <= 1e-10
+        assert float(row[4]) <= 1e-9
 
 
 def test_functional_eq_empty_grid(tmp_path):
