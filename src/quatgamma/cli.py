@@ -37,8 +37,15 @@ _THREAD_VARS = (
 )
 
 
-# largest tau or strip grid a command accepts, counted before any allocation
-_MAX_GRID_POINTS = 1_000_000
+# largest table a command writes, in rows (sectors x grid points), counted
+# from the arguments before any allocation
+_MAX_TABLE_ROWS = 1_000_000
+
+# largest oracle-check box, M = 67 (2.0e7 points); the command holds about
+# two complex M^4 arrays at once (the samples and one transposed copy inside
+# the contraction), so 32 bytes per point
+_MAX_ORACLE_GRID_M = 67
+_ORACLE_BYTES_PER_POINT = 32
 
 
 class _UsageError(ValueError):
@@ -87,12 +94,18 @@ def _write_json(path: str, payload: Dict[str, object]) -> None:
         fh.write("\n")
 
 
-def _check_grid_size(count: float, what: str) -> None:
-    if count > _MAX_GRID_POINTS:
-        raise _UsageError(f"{what} asks for {count:.3g} grid points; the limit is {_MAX_GRID_POINTS}")
+def _check_table_size(sectors: range, points: float, what: str) -> None:
+    """Refuse a table of more than _MAX_TABLE_ROWS rows: one row per sector
+    and grid point."""
+    n_sectors = sectors.stop - sectors.start
+    if n_sectors * points > _MAX_TABLE_ROWS:
+        raise _UsageError(
+            f"{what} gives {n_sectors} sectors x {points:.3g} points per sector; "
+            f"the limit is {_MAX_TABLE_ROWS} table rows"
+        )
 
 
-def _parse_s_grid(text: str) -> List[complex]:
+def _parse_s_grid(text: str, sectors: range) -> List[complex]:
     """'RxM' -> R interior real parts i/(R+1) times M imaginary parts on
     [-2, 2] (M = 1 collapses to the real axis).  '0x0' is the legal empty
     grid."""
@@ -100,7 +113,7 @@ def _parse_s_grid(text: str) -> List[complex]:
     if m is None:
         raise _UsageError(f"--s-grid must look like 20x20, got {text!r}")
     n_re, n_im = int(m.group(1)), int(m.group(2))
-    _check_grid_size(n_re * n_im, "--s-grid")
+    _check_table_size(sectors, n_re * n_im, "--s-grid")
     if n_re == 0 or n_im == 0:
         return []
     sigmas = [i / (n_re + 1) for i in range(1, n_re + 1)]
@@ -121,7 +134,7 @@ def _parse_lambdas(text: str) -> Tuple[float, ...]:
     return vals
 
 
-def _tau_grid(args: argparse.Namespace):
+def _tau_grid(args: argparse.Namespace, sectors: range):
     if None in (args.tau_min, args.tau_max, args.tau_step):
         raise _UsageError("--tau-min, --tau-max and --tau-step are all required")
     if not all(math.isfinite(v) for v in (args.tau_min, args.tau_max, args.tau_step)):
@@ -132,7 +145,7 @@ def _tau_grid(args: argparse.Namespace):
         raise _UsageError("--tau-max must be at least --tau-min")
     span = (args.tau_max - args.tau_min) / args.tau_step
     count = int(math.floor(span + 0.5)) + 1 if math.isfinite(span) else math.inf
-    _check_grid_size(count, "the tau grid")
+    _check_table_size(sectors, count, "the tau grid")
     import numpy as np
 
     return args.tau_min + args.tau_step * np.arange(count)
@@ -171,7 +184,7 @@ def cmd_gamma_table(args: argparse.Namespace) -> int:
     from .specfun import gamma_factor
 
     if tau_mode:
-        taus = _tau_grid(args)
+        taus = _tau_grid(args, sectors)
         svals = 0.5 + 1j * taus
         manifest = _manifest(
             "gamma-table",
@@ -182,7 +195,7 @@ def cmd_gamma_table(args: argparse.Namespace) -> int:
             tau_step=args.tau_step,
         )
     else:
-        svals = np.asarray(_parse_s_grid(args.s_grid), dtype=complex)
+        svals = np.asarray(_parse_s_grid(args.s_grid, sectors), dtype=complex)
         manifest = _manifest(
             "gamma-table", n_min=args.n_min, n_max=args.n_max, s_grid=args.s_grid
         )
@@ -219,7 +232,7 @@ def cmd_spectral_scan(args: argparse.Namespace) -> int:
 
     from .specfun import h_multiplier, k_multiplier
 
-    taus = _tau_grid(args)
+    taus = _tau_grid(args, sectors)
     manifest = _manifest(
         "spectral-scan",
         n_min=args.n_min,
@@ -265,7 +278,7 @@ def cmd_spectral_scan(args: argparse.Namespace) -> int:
 def cmd_functional_eq(args: argparse.Namespace) -> int:
     start = time.monotonic()
     sectors = _sector_range(args)
-    svals = _parse_s_grid(args.s_grid)
+    svals = _parse_s_grid(args.s_grid, sectors)
     manifest = _manifest(
         "functional-eq", n_min=args.n_min, n_max=args.n_max, s_grid=args.s_grid
     )
@@ -320,6 +333,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         raise _UsageError("--grid-m must be an odd integer >= 3")
     if args.grid_l <= 0.0:
         raise _UsageError("--grid-l must be positive")
+    if args.grid_m > _MAX_ORACLE_GRID_M:
+        points = args.grid_m**4
+        raise _UsageError(
+            f"--grid-m {args.grid_m} asks for {points:.3g} grid points, about "
+            f"{_ORACLE_BYTES_PER_POINT * points / 1e9:.1f} GB; the limit is "
+            f"--grid-m {_MAX_ORACLE_GRID_M} ({_MAX_ORACLE_GRID_M**4:.3g} points)"
+        )
 
     import numpy as np
 

@@ -36,6 +36,7 @@ from quatgamma.additive_oracle import (
     radial_fourier,
 )
 from quatgamma.gamma_op import (
+    SQRT_2PI2,
     IsotypicFunction,
     gamma_transform,
     gaussian_isotypic,
@@ -59,6 +60,42 @@ def seeded_probes(k, lo, hi, seed):
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     pts *= (lo + (hi - lo) * rng.random(k))[:, None]
     return [Quaternion(*p) for p in pts]
+
+
+def _isotypic_grid_function_direct(grid, f):
+    """Reference for isotypic_grid_function: the spline, cutoff and
+    character evaluated at every one of the M^4 nodes."""
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(f.log_profile.grid, f.log_profile.samples)
+    ax = grid.axis()
+    pts = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
+    n = np.sum(pts * pts, axis=1)
+    out = np.zeros(len(n), dtype=complex)
+    nz = n > 0.0
+    v = np.empty_like(n)
+    v[nz] = 2.0 * np.log(n[nz])
+    inside = nz & (np.abs(np.where(nz, v, 0.0)) <= f.log_profile.half_width)
+    theta = np.arccos(np.clip(pts[inside, 0] / np.sqrt(n[inside]), -1.0, 1.0))
+    out[inside] = character(f.N, theta) * spline(v[inside]) / (SQRT_2PI2 * n[inside])
+    m = grid.points_per_axis
+    return out.reshape(m, m, m, m)
+
+
+def _brute_fourier_direct(phi, probes):
+    """Reference for brute_fourier: one tensordot chain per probe."""
+    ax = phi.grid.axis()
+    h = phi.grid.spacing
+    signs = (1.0, -1.0, -1.0, -1.0)
+    out = np.empty(len(probes), dtype=complex)
+    for i, probe in enumerate(probes):
+        y = np.asarray(probe.coords if isinstance(probe, Quaternion) else probe, dtype=float)
+        acc = phi.values
+        for sign, yc in zip(signs, y):
+            phase = np.exp(4j * np.pi * sign * yc * ax)
+            acc = np.tensordot(acc, phase, axes=([0], [0]))
+        out[i] = 4.0 * h**4 * acc
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +136,20 @@ def test_grid_function_enforces_decay(box):
         GridFunction(box, np.zeros((m, m, m)))
 
 
+def test_from_function_coordinate_order():
+    # an asymmetric function pins which coordinate column is which axis
+    grid = Grid4D(1.7, 9)
+
+    def fn(pts):
+        tilt = pts[:, 0] - 2.0 * pts[:, 1] + 3.0 * pts[:, 2] + 0.5 * pts[:, 3]
+        return tilt * np.exp(-4.0 * np.pi * np.sum(pts**2, axis=1))
+
+    got = GridFunction.from_function(grid, fn).values
+    ax = grid.axis()
+    pts = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
+    assert np.array_equal(got, fn(pts).reshape(got.shape).astype(complex))
+
+
 def test_omega_grid_values(box, omega_sampled):
     m = box.points_per_axis
     assert omega_sampled.values[m // 2, m // 2, m // 2, m // 2] == 1.0
@@ -136,6 +187,32 @@ def test_brute_scaling_oracle(box):
     n = np.sum(np.array([p.coords for p in probes]) ** 2, axis=1)
     want = np.exp(-2.0 * np.pi * n / t) / t**2
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+def _damped_random_samples(box, seed):
+    # random complex samples under the Gaussian envelope, so the decay
+    # surrogate holds and the transform has no special structure
+    rng = np.random.default_rng(seed)
+    m = box.points_per_axis
+    env = omega_grid_function(box).values.real
+    noise = rng.normal(size=(m,) * 4) + 1j * rng.normal(size=(m,) * 4)
+    return GridFunction(box, noise * env)
+
+
+def test_brute_stacked_probes_match_per_probe_loop(box):
+    phi = _damped_random_samples(box, seed=41)
+    quats = seeded_probes(6, 0.1, 1.2, seed=43)
+    seqs = [list(p.coords) for p in quats]
+    cases = [quats, seqs, np.array(seqs), quats[:1], seqs[2:3]]
+    for probes in cases:
+        got = brute_fourier(phi, probes)
+        want = _brute_fourier_direct(phi, probes)
+        assert got.shape == (len(probes),)
+        # same contraction order per probe: equal, not merely close
+        assert np.array_equal(got, want)
+    empty = brute_fourier(phi, [])
+    assert empty.shape == (0,) and empty.dtype == complex
+    assert _brute_fourier_direct(phi, []).shape == (0,)
 
 
 def test_brute_linearity_and_conjugate_symmetry(box):
@@ -393,3 +470,46 @@ def test_multiplier_route_matches_brute_transform(box):
         np.array([p.coords for p in probes], dtype=float)
     )
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-2
+
+
+def _pin_profile(N, centre=-0.3, width=0.3, v_half_width=16.0):
+    # narrow and off-centre, complex: the additive tail clears the decay
+    # guard on the L = 1.7 box, and the character and spline both matter
+    return IsotypicFunction.from_log_function(
+        N,
+        lambda v: np.exp(-((v - centre) ** 2) / (2.0 * width**2)) * (1.0 + 0.5j * v),
+        v_half_width=v_half_width,
+    )
+
+
+@pytest.mark.parametrize("L", [2.0, 1.7])
+@pytest.mark.parametrize("N", [0, 1, 2, 5])
+def test_isotypic_orbit_table_matches_per_node(N, L):
+    # L = 2 gives dyadic spacing, where n(x) is exact and the samples are
+    # bitwise the per-node ones; L = 1.7 does not
+    f = _pin_profile(N)
+    for m in (3, 5, 17, 33):
+        grid = Grid4D(L, m)
+        got = isotypic_grid_function(grid, f).values
+        want = _isotypic_grid_function_direct(grid, f)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        if L == 2.0:
+            assert np.array_equal(got, want)
+        assert got[m // 2, m // 2, m // 2, m // 2] == 0.0
+
+
+@pytest.mark.parametrize("L", [2.0, 1.7])
+def test_isotypic_orbit_table_cutoff(L):
+    # half_width 1.5: every node with |2 log n(x)| > 1.5 must be cut to 0,
+    # where the spline would extrapolate to non-zero values
+    f = _pin_profile(1, centre=0.0, width=0.2, v_half_width=1.5)
+    grid = Grid4D(L, 17)
+    got = isotypic_grid_function(grid, f).values
+    want = _isotypic_grid_function_direct(grid, f)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    ax = grid.axis()
+    n = sum(np.meshgrid(ax**2, ax**2, ax**2, ax**2, indexing="ij"))
+    cut = (n == 0.0) | (np.abs(2.0 * np.log(np.where(n > 0.0, n, 1.0))) > 1.5)
+    assert cut.any() and (~cut).any()
+    assert np.all(got[cut] == 0.0)

@@ -157,6 +157,20 @@ def test_oversized_grids_refused_before_allocation(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_row_cap_counts_sectors_times_points(tmp_path):
+    # every grid here is small on its own; the sectors multiply it past
+    # 1,000,000 table rows, which is refused before anything is computed
+    out = str(tmp_path / "x.csv")
+    tau_1001 = ["--tau-min", "-1", "--tau-max", "1", "--tau-step", "0.002"]
+    assert main(["spectral-scan", "--n-max", "999"] + tau_1001 + ["--out", out]) == 2
+    assert main(["gamma-table", "--n-max", "999"] + tau_1001 + ["--out", out]) == 2
+    assert main(["gamma-table", "--n-max", "2500", "--s-grid", "20x20", "--out", out]) == 2
+    assert main(["functional-eq", "--n-max", "2500", "--s-grid", "20x20", "--out", out]) == 2
+    huge = ["--n-min", "5", "--n-max", str(10**30), "--s-grid", "1x1", "--out", out]
+    assert main(["functional-eq"] + huge) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 # -------------------------------------------------------------- functional-eq
 
 
@@ -239,6 +253,14 @@ def test_oracle_check_validation(tmp_path):
     assert main(["oracle-check", "--probes", "0"]) == 2
     assert main(["oracle-check", "--grid-m", "16"]) == 2
     assert main(["oracle-check", "--grid-l", "-1"]) == 2
+
+
+def test_oracle_check_refuses_oversized_grid(capsys):
+    # refused from the arguments alone: a 101^4 box is never built
+    assert main(["oracle-check", "--grid-m", "101"]) == 2
+    err = capsys.readouterr().err
+    assert "--grid-m 101" in err and "GB" in err
+    assert main(["oracle-check", "--grid-m", "69"]) == 2
 
 
 # ---------------------------------------------------------------- trace-sweep
