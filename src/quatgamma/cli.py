@@ -10,21 +10,27 @@ CSV would break that rerun contract.
 Exit codes: 0 success, 1 numerical failure (quadrature or convergence
 guards), 2 usage error.
 
-Thread control: set QUATGAMMA_THREADS to pin the BLAS/OpenMP pool size.
-It is applied before numpy is first imported, which is why every
-numerical import below lives inside its command function.
+Thread control: set QUATGAMMA_THREADS to an integer from 1 to the CPU
+count to pin the BLAS/OpenMP pool size; any other value exits 2.  It is
+applied before numpy is first imported, which is why every numerical
+import below lives inside its command function.
+
+Tables and summaries are written to a temporary file beside the target
+and renamed over it, so a run that fails part-way leaves the previous
+file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import re
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from ._errors import AliasingError, DecayError, NonConvergenceError, QuadratureError
@@ -47,6 +53,13 @@ _MAX_TABLE_ROWS = 1_000_000
 _MAX_ORACLE_GRID_M = 67
 _ORACLE_BYTES_PER_POINT = 32
 
+# largest trace_direct run, in bytes of its angular phase matrix (see
+# _trace_direct_bytes); an entry is complex (16 bytes), but angular_bessel
+# holds the exponent and its exp at once, and peak RSS grew by 36 and 32
+# bytes per entry at cutoffs 1024 and 4096
+_MAX_TRACE_DIRECT_BYTES = 1e9
+_TRACE_DIRECT_BYTES_PER_ENTRY = 32
+
 
 class _UsageError(ValueError):
     """Semantic argument failure: reported on stderr with exit code 2."""
@@ -59,8 +72,13 @@ def _apply_thread_env() -> None:
     want = os.environ.get("QUATGAMMA_THREADS")
     if not want:
         return
+    limit = os.cpu_count() or 1
+    if re.fullmatch(r"[0-9]+", want) is None or not 1 <= int(want) <= limit:
+        raise _UsageError(
+            f"QUATGAMMA_THREADS must be an integer from 1 to {limit}, got {want!r}"
+        )
     for var in _THREAD_VARS:
-        os.environ.setdefault(var, want)
+        os.environ.setdefault(var, str(int(want)))
 
 
 def _manifest(command: str, **params: object) -> Dict[str, object]:
@@ -78,10 +96,26 @@ def _write_csv(
     """One row format per table: the sector column N is an integer, every
     other column a Python float printed with 17 significant digits."""
     fmt = ",".join("%d" if name == "N" else "%.17g" for name in header) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write("# " + json.dumps(manifest, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
         fh.writelines(fmt % row for row in rows)
+
+
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """Open a temporary file beside path for writing.  When the block
+    completes, the file replaces path in one rename; when it raises, the
+    file is removed and path is left untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _summary_path(out: str) -> str:
@@ -89,7 +123,7 @@ def _summary_path(out: str) -> str:
 
 
 def _write_json(path: str, payload: Dict[str, object]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -124,6 +158,17 @@ def _parse_s_grid(text: str, sectors: range) -> List[complex]:
     return [complex(s, t) for s in sigmas for t in imags]
 
 
+def _trace_direct_bytes(lam: float) -> float:
+    """Memory of the largest matrix trace_direct builds at cutoff lam,
+    angular_bessel's phase matrix in the fine pass: about 40 + 2 lam^(1/2)
+    radial panels of 24 nodes (rho up to lam^(1/2)) times the doubled
+    angular node count 2^(ceil(log2 16 (rho + 1)) + 1), at least 128."""
+    rho = math.sqrt(lam)
+    points = (40.0 + 2.0 * rho) * 24
+    nodes = 2.0 ** (max(6, math.ceil(math.log2(16.0 * (rho + 1.0)))) + 1)
+    return points * nodes * _TRACE_DIRECT_BYTES_PER_ENTRY
+
+
 def _parse_lambdas(text: str) -> Tuple[float, ...]:
     try:
         vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -131,6 +176,16 @@ def _parse_lambdas(text: str) -> Tuple[float, ...]:
         raise _UsageError(f"--lambda-list must be comma-separated reals, got {text!r}")
     if not vals:
         raise _UsageError("--lambda-list is empty")
+    if not all(math.isfinite(v) for v in vals):
+        raise _UsageError(f"--lambda-list must be finite, got {text!r}")
+    top = max(vals)  # the estimate grows with the cutoff
+    if top > 1.0 and _trace_direct_bytes(top) > _MAX_TRACE_DIRECT_BYTES:
+        raise _UsageError(
+            f"--lambda-list cutoff {top:g} needs about "
+            f"{_trace_direct_bytes(top) / 1e9:.1f} GB for the direct route's "
+            f"angular phase matrix; the limit is "
+            f"{_MAX_TRACE_DIRECT_BYTES / 1e9:.1f} GB"
+        )
     return vals
 
 
@@ -563,9 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _apply_thread_env()
     args = build_parser().parse_args(argv)
     try:
+        _apply_thread_env()
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -186,6 +186,16 @@ def _filon_fourier(
     and the oscillatory moments int P_m(x) e^{i alpha x} dx = 2 i^m
     j_m(alpha) are exact, so accuracy is uniform in tau instead of
     collapsing once the phase outruns a fixed Gauss rule.
+
+    The tau-only factors are evaluated once per distinct a = |tau|, which
+    halves the work on a symmetric grid: the moments 2 i^m j_m(a h) in one
+    broadcast spherical_jn call and the panel phases E = e^{i a mid}.  The
+    contraction runs over panels first, as one matrix product
+    E @ [c | conj c] with c the panel coefficients, then over orders, as a
+    row-wise dot of each block with the moments, and gathers by tau last.
+    The first block serves tau >= 0.  For tau < 0, e^{-i a mid} is
+    conj(e^{i a mid}) and j_m(-x) = (-1)^m j_m(x) turns i^m into conj(i^m),
+    so the value is the conjugate of the second block's dot.
     """
     n_panels = max(1, int(math.ceil((hi - lo) / panel_width)))
     edges = np.linspace(lo, hi, n_panels + 1)
@@ -202,14 +212,13 @@ def _filon_fourier(
     g_nodes = np.asarray(g(nodes), dtype=complex).reshape(n_panels, n_proj)
     coeffs = g_nodes @ projector.T  # (panels, degree+1)
 
-    alpha = taus * half
-    sign = np.where(alpha < 0.0, -1.0, 1.0)
-    j = np.stack([spherical_jn(m, np.abs(alpha)) for m in orders])
-    j *= sign[None, :] ** orders[:, None]  # j_m(-a) = (-1)^m j_m(a)
-
-    phases = np.exp(1j * np.outer(taus, mids))  # (taus, panels)
-    moments = 2.0 * (1j**orders)[:, None] * j  # (degree+1, taus)
-    return half * np.einsum("tp,pm,mt->t", phases, coeffs, moments)
+    taus = np.asarray(taus, dtype=float)
+    a, idx = np.unique(np.abs(taus), return_inverse=True)
+    moments = 2.0 * 1j**orders * spherical_jn(orders[None, :], (a * half)[:, None])
+    phases = np.exp(1j * np.outer(a, mids))  # (|tau| values, panels)
+    sums = phases @ np.concatenate([coeffs, coeffs.conj()], axis=1)
+    dots = np.sum(sums.reshape(len(a), 2, degree + 1) * moments[:, None, :], axis=2)
+    return half * np.where(taus < 0.0, dots[idx, 1].conj(), dots[idx, 0])
 
 
 def trace_spectral(f: IsotypicFunction, lam: float, tol: float = 1e-8) -> complex:

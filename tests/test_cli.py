@@ -9,11 +9,13 @@ format (manifest comment line, 17-digit floats, summary JSON) and the
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from quatgamma import cli
 from quatgamma.cli import main
 
 
@@ -295,10 +297,23 @@ def test_trace_sweep_zero_profile(tmp_path):
 def test_trace_sweep_validation(tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["trace-sweep", "--lambda-list", "2,2", "--out", out]) == 2
+    assert main(["trace-sweep", "--lambda-list", "2,nan", "--out", out]) == 2
+    assert main(["trace-sweep", "--lambda-list", "2,inf", "--out", out]) == 2
     assert main(["trace-sweep", "--lambda-list", "4,2", "--out", out]) == 2
     assert main(["trace-sweep", "--lambda-list", "0.5", "--out", out]) == 2
     assert main(["trace-sweep", "--lambda-list", "nope", "--out", out]) == 2
     assert main(["trace-sweep", "--lambda-list", "2,4", "--profile-width", "0", "--out", out]) == 2
+
+
+def test_trace_sweep_refuses_oversized_cutoff():
+    # parsing only, so that no trace_direct phase matrix is ever built; the
+    # refusal is a _UsageError, which main turns into exit 2
+    assert cli._trace_direct_bytes(64.0) == (40 + 16) * 24 * 512 * 32
+    assert cli._parse_lambdas("2,4,8,16,32,64") == (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+    with pytest.raises(cli._UsageError, match=r"cutoff 1e\+06 needs about 51\.3 GB"):
+        cli._parse_lambdas("2,4,1e6")
+    with pytest.raises(cli._UsageError, match=r"cutoff 1e\+300"):
+        cli._parse_lambdas("1e300")
 
 
 # ----------------------------------------------------------------- g-constant
@@ -328,6 +343,39 @@ def test_g_constant_tolerance_floor():
 
 
 # ------------------------------------------------------------------- plumbing
+
+
+@pytest.mark.parametrize("value", ["0", "abc", "-3", "1.5", "cpus+1"])
+def test_thread_count_refused(value, monkeypatch, capsys):
+    # only refused values: no run starts with them
+    if value == "cpus+1":
+        value = str((os.cpu_count() or 1) + 1)
+    for var in cli._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("QUATGAMMA_THREADS", value)
+    assert main(["g-constant"]) == 2
+    captured = capsys.readouterr()
+    assert repr(value) in captured.err and captured.out == ""
+    assert not any(var in os.environ for var in cli._THREAD_VARS)
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    out = tmp_path / "t.csv"
+    out.write_bytes(b"# old table\nN,x\n0,1\n")
+    before = out.read_bytes()
+
+    def rows():
+        yield (0, 1.0)
+        yield (1, 2.0)
+        raise RuntimeError("numerical failure mid-table")
+
+    with pytest.raises(RuntimeError):
+        cli._write_csv(str(out), {"command": "test"}, ("N", "x"), rows())
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+    cli._write_csv(str(out), {"command": "test"}, ("N", "x"), [(0, 1.0)])
+    assert out.read_text(encoding="utf-8").endswith("N,x\n0,1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
 def test_subcommand_required():

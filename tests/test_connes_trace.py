@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import eval_legendre, spherical_jn
 
 from quatgamma._errors import QuadratureError
 from quatgamma.additive_oracle import op_b_via_distribution
@@ -27,12 +29,14 @@ from quatgamma.connes_trace import (
 )
 from quatgamma.gamma_op import (
     IsotypicFunction,
+    gamma_inverse,
     gaussian_isotypic,
     inversion,
     op_H,
     value_at_identity,
 )
 from quatgamma.specfun import h_multiplier
+from quatgamma.spectral_line import profile_value
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +47,49 @@ def standard():
 @pytest.fixture(scope="module")
 def sweep(standard):
     return residual_sweep(TraceConfig(f=standard))
+
+
+def _filon_fourier_direct(g, lo, hi, taus, panel_width=1.0, degree=16):
+    """Reference for _filon_fourier: the same panels, projection and
+    moments, with the moments and phases evaluated at every tau and one
+    three-operand contraction."""
+    n_panels = max(1, int(math.ceil((hi - lo) / panel_width)))
+    edges = np.linspace(lo, hi, n_panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+
+    n_proj = degree + 4
+    x, w = leggauss(n_proj)
+    orders = np.arange(degree + 1)
+    legendre = eval_legendre(orders[:, None], x[None, :])
+    projector = legendre * w[None, :] * ((2.0 * orders + 1.0) / 2.0)[:, None]
+
+    nodes = (mids[:, None] + half * x[None, :]).ravel()
+    g_nodes = np.asarray(g(nodes), dtype=complex).reshape(n_panels, n_proj)
+    coeffs = g_nodes @ projector.T
+
+    alpha = taus * half
+    sign = np.where(alpha < 0.0, -1.0, 1.0)
+    j = np.stack([spherical_jn(m, np.abs(alpha)) for m in orders])
+    j *= sign[None, :] ** orders[:, None]  # j_m(-a) = (-1)^m j_m(a)
+
+    phases = np.exp(1j * np.outer(taus, mids))
+    moments = 2.0 * (1j**orders)[:, None] * j
+    return half * np.einsum("tp,pm,mt->t", phases, coeffs, moments)
+
+
+def shifted_odd(v):
+    return v * np.exp(-((v - 1.0) ** 2))
+
+
+def shifted_odd_transform(taus):
+    # int v e^{-(v-1)^2} e^{i tau v} dv
+    return (
+        math.sqrt(math.pi)
+        * np.exp(1j * taus)
+        * np.exp(-0.25 * taus**2)
+        * (1.0 + 0.5j * taus)
+    )
 
 
 # ------------------------------------------------------------ Filon transform
@@ -62,14 +109,53 @@ def test_filon_shifted_odd_closed_form():
     # int v e^{-(v-1)^2} e^{i tau v} dv = sqrt(pi) e^{i tau} e^{-tau^2/4}
     # (1 + i tau / 2): complex-valued target off the panel symmetry axis.
     taus = np.array([0.0, 1.5, 6.0, 18.0, -11.0])
-    got = _filon_fourier(lambda v: v * np.exp(-((v - 1.0) ** 2)), -7.0, 9.0, taus)
-    exact = (
-        math.sqrt(math.pi)
-        * np.exp(1j * taus)
-        * np.exp(-0.25 * taus**2)
-        * (1.0 + 0.5j * taus)
-    )
-    assert np.max(np.abs(got - exact)) < 1e-12
+    got = _filon_fourier(shifted_odd, -7.0, 9.0, taus)
+    assert np.max(np.abs(got - shifted_odd_transform(taus))) < 1e-12
+    # on a symmetric grid through 0 each tau < 0 shares its |tau| with a
+    # tau > 0; the target is neither even nor real, so a missing
+    # conjugation on the negative half shows here
+    sym = np.linspace(-20.0, 20.0, 161)
+    got = _filon_fourier(shifted_odd, -7.0, 9.0, sym)
+    assert np.max(np.abs(got - shifted_odd_transform(sym))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "taus",
+    [
+        np.array([3.25, -0.5, 3.25, 0.0, -17.0, 0.5, -0.5, 9.0, 3.25]),
+        np.array([-0.75, -12.0, -0.75, -4.5]),
+        np.array([]),
+    ],
+    ids=["unsorted-repeated", "negative-only", "empty"],
+)
+def test_filon_any_tau_array(taus):
+    # output follows the input order, repeats and all; measured 5.0e-16 x
+    # peak against the reference and 4.6e-15 against the closed form
+    got = _filon_fourier(shifted_odd, -7.0, 9.0, taus, panel_width=0.5)
+    ref = _filon_fourier_direct(shifted_odd, -7.0, 9.0, taus, panel_width=0.5)
+    assert got.shape == taus.shape and got.dtype == complex
+    if taus.size:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(got - shifted_odd_transform(taus))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_filon_matches_direct_on_trace_integrand(n):
+    # trace_spectral's sub-kink integrand on its own tau grid, both panel
+    # widths; measured 9.4e-16 x peak
+    f1 = gamma_inverse(inversion(gaussian_isotypic(n)))
+    prof, psi = f1.log_profile, f1.spectral_profile
+    for lam in (2.0, 16.0):
+        two_log = 2.0 * math.log(lam)
+
+        def sub_kink(v):
+            return (two_log + v) * profile_value(psi, v)
+
+        for width in (1.0, 0.5):
+            args = (sub_kink, -prof.half_width, -two_log, psi.grid, width)
+            got = _filon_fourier(*args)
+            ref = _filon_fourier_direct(*args)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------------ route equality
