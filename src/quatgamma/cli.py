@@ -53,12 +53,15 @@ _MAX_TABLE_ROWS = 1_000_000
 _MAX_ORACLE_GRID_M = 67
 _ORACLE_BYTES_PER_POINT = 32
 
-# largest trace_direct run, in bytes of its angular phase matrix (see
-# _trace_direct_bytes); an entry is complex (16 bytes), but angular_bessel
-# holds the exponent and its exp at once, and peak RSS grew by 36 and 32
-# bytes per entry at cutoffs 1024 and 4096
+# largest trace_direct run, in bytes of its fine-pass node arrays (see
+# _trace_direct_bytes); peak RSS of a warmed-up process grew by 96 to 98
+# bytes per node at cutoffs 1e8 to 1.6e9, mostly profile_value temporaries
 _MAX_TRACE_DIRECT_BYTES = 1e9
-_TRACE_DIRECT_BYTES_PER_ENTRY = 32
+_TRACE_DIRECT_BYTES_PER_NODE = 100
+
+# half-width of the log window trace_spectral integrates over
+# (gamma_op.DEFAULT_V_HALF_WIDTH); the kink -2 log(cutoff) must lie inside it
+_SPECTRAL_HALF_WIDTH = 64.0
 
 
 class _UsageError(ValueError):
@@ -159,14 +162,9 @@ def _parse_s_grid(text: str, sectors: range) -> List[complex]:
 
 
 def _trace_direct_bytes(lam: float) -> float:
-    """Memory of the largest matrix trace_direct builds at cutoff lam,
-    angular_bessel's phase matrix in the fine pass: about 40 + 2 lam^(1/2)
-    radial panels of 24 nodes (rho up to lam^(1/2)) times the doubled
-    angular node count 2^(ceil(log2 16 (rho + 1)) + 1), at least 128."""
-    rho = math.sqrt(lam)
-    points = (40.0 + 2.0 * rho) * 24
-    nodes = 2.0 ** (max(6, math.ceil(math.log2(16.0 * (rho + 1.0)))) + 1)
-    return points * nodes * _TRACE_DIRECT_BYTES_PER_ENTRY
+    """Memory trace_direct needs at cutoff lam: its fine pass evaluates
+    about 40 + 2 lam^(1/2) radial panels of 24 nodes at once."""
+    return (40.0 + 2.0 * math.sqrt(lam)) * 24 * _TRACE_DIRECT_BYTES_PER_NODE
 
 
 def _parse_lambdas(text: str) -> Tuple[float, ...]:
@@ -178,13 +176,18 @@ def _parse_lambdas(text: str) -> Tuple[float, ...]:
         raise _UsageError("--lambda-list is empty")
     if not all(math.isfinite(v) for v in vals):
         raise _UsageError(f"--lambda-list must be finite, got {text!r}")
-    top = max(vals)  # the estimate grows with the cutoff
+    top = max(vals)  # both limits grow with the cutoff
+    if top > 1.0 and 2.0 * math.log(top) >= _SPECTRAL_HALF_WIDTH:
+        raise _UsageError(
+            f"--lambda-list cutoff {top:g} puts the kink -2 log(cutoff) outside "
+            f"the spectral window [-{_SPECTRAL_HALF_WIDTH:g}, {_SPECTRAL_HALF_WIDTH:g}]; "
+            f"cutoffs must stay below e^{_SPECTRAL_HALF_WIDTH / 2:g}"
+        )
     if top > 1.0 and _trace_direct_bytes(top) > _MAX_TRACE_DIRECT_BYTES:
         raise _UsageError(
             f"--lambda-list cutoff {top:g} needs about "
             f"{_trace_direct_bytes(top) / 1e9:.1f} GB for the direct route's "
-            f"angular phase matrix; the limit is "
-            f"{_MAX_TRACE_DIRECT_BYTES / 1e9:.1f} GB"
+            f"node arrays; the limit is {_MAX_TRACE_DIRECT_BYTES / 1e9:.1f} GB"
         )
     return vals
 
@@ -480,11 +483,7 @@ def cmd_trace_sweep(args: argparse.Namespace) -> int:
     route_gap = 0.0
     for r in results:
         direct = trace_direct(
-            f,
-            r.lam,
-            tol=config.tolerance,
-            nodes_per_panel=config.radial_nodes,
-            angular_tol=config.angular_tol,
+            f, r.lam, tol=config.tolerance, nodes_per_panel=config.radial_nodes
         )
         route_gap = max(route_gap, abs(direct - r.trace) / max(1.0, abs(r.trace)))
         rows.append((float(r.lam), direct.real, r.trace.real, r.residual.real))

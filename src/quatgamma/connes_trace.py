@@ -67,14 +67,12 @@ DEFAULT_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 class TraceConfig:
     """Sweep configuration: the profile, the cutoff list (strictly
     increasing, all above 1), quadrature resolutions, and the refinement
-    tolerance.  radial_nodes and angular_tol parameterize the direct
-    route (Gauss nodes per radial panel, Bessel reduction tolerance);
-    the spectral route needs neither."""
+    tolerance.  radial_nodes (Gauss nodes per radial panel) parameterizes
+    the direct route; the spectral route does not use it."""
 
     f: IsotypicFunction
     lambdas: Tuple[float, ...] = DEFAULT_LAMBDAS
     radial_nodes: int = 16
-    angular_tol: float = 1e-10
     tolerance: float = 1e-8
     fit_min_lambda: float = 8.0
 
@@ -122,7 +120,6 @@ def _direct_quadrature(
     lam: float,
     nodes_per_panel: int,
     v_min: float,
-    angular_tol: float,
 ) -> complex:
     two_log = 2.0 * math.log(lam)
     gamma_f = gamma_transform(f)
@@ -133,7 +130,7 @@ def _direct_quadrature(
     v = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wt = (half[:, None] * w[None, :]).ravel()
     kernel = profile_value(gamma_f.spectral_profile, v)
-    bess = angular_bessel(f.N, np.exp(v / 4.0), tol=angular_tol)
+    bess = angular_bessel(f.N, np.exp(v / 4.0))
     integrand = (two_log - v) * kernel * bess * np.exp(v / 2.0)
     return complex(2.0 * np.pi**2 * np.sum(wt * integrand))
 
@@ -144,7 +141,6 @@ def trace_direct(
     tol: float = 1e-8,
     v_min: float = -40.0,
     nodes_per_panel: int = 16,
-    angular_tol: float = 1e-10,
 ) -> complex:
     """Trace by the additive integral, radially reduced to
 
@@ -157,10 +153,8 @@ def trace_direct(
     """
     if lam <= 1.0:
         raise ValueError("cutoff must exceed 1")
-    coarse = _direct_quadrature(f, lam, nodes_per_panel, v_min, angular_tol)
-    fine = _direct_quadrature(
-        f, lam, nodes_per_panel + nodes_per_panel // 2, v_min, angular_tol
-    )
+    coarse = _direct_quadrature(f, lam, nodes_per_panel, v_min)
+    fine = _direct_quadrature(f, lam, nodes_per_panel + nodes_per_panel // 2, v_min)
     if abs(coarse - fine) > tol * max(1.0, abs(fine)):
         raise QuadratureError(
             f"direct trace refinements disagree by {abs(coarse - fine):.3e} at "

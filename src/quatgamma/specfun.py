@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import List, Union
 
 import numpy as np
+from scipy.special import loggamma, psi
 
 from ._errors import NonConvergenceError
 
@@ -61,64 +62,36 @@ def _maybe_scalar(value: np.ndarray, scalar: bool):
     return value[0] if scalar else value
 
 
-# ---------------------------------------------------------------- log-gamma
-
-# Lanczos coefficients, g = 7, 9 terms
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+# ---------------------------------------------------- log-gamma and digamma
 
 
 def log_gamma(z: ArrayLike) -> ArrayLike:
-    """Principal branch of log Gamma for Re(z) > 0 (Lanczos, g = 7).
+    """Principal branch of log Gamma for Re(z) > 0 (scipy.special.loggamma).
 
     Everything in scope keeps its Gamma arguments in the right half plane
-    (they have the form 2s + N/2 or 1 + N/2 + 2i*tau), so no reflection
-    formula is provided; Re(z) <= 0 raises.
+    (they have the form 2s + N/2 or 1 + N/2 + 2i*tau).  The wrapper exists
+    for that guard: an argument with Re(z) <= 0 is a caller's error here,
+    so it raises instead of being continued by reflection.
     """
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).astype(complex)
+    w = np.atleast_1d(arr)
     _check_right_half(w, "log_gamma")
-    # shift to Re >= 8 first: there the rational factor stays close to 1 and
-    # its principal log cannot wrap, so the result is the analytic branch
-    w = w.copy()
-    shift = np.zeros_like(w)
-    while True:
-        mask = w.real < 8.0
-        if not mask.any():
-            break
-        shift[mask] += np.log(w[mask])
-        w[mask] += 1.0
-    acc = np.full_like(w, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (w - 1.0 + k)
-    t = w + (_LANCZOS_G - 0.5)
-    out = 0.5 * LOG_2PI + (w - 0.5) * np.log(t) - t + np.log(acc) - shift
-    return _maybe_scalar(out, scalar)
+    return _maybe_scalar(loggamma(w), scalar)
 
 
-# ---------------------------------------------------- digamma and trigamma
+def digamma(z: ArrayLike) -> ArrayLike:
+    """psi(z) for Re(z) > 0 (scipy.special.psi), behind the same
+    right-half-plane guard as log_gamma."""
+    arr = np.asarray(z, dtype=complex)
+    scalar = arr.ndim == 0
+    w = np.atleast_1d(arr)
+    _check_right_half(w, "digamma")
+    return _maybe_scalar(psi(w), scalar)
 
-# B_{2n}/(2n) for the digamma asymptotic, n = 1..7
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+
+# ---------------------------------------------------------------- trigamma
+
 # B_{2n} for the trigamma asymptotic, n = 1..7
 _TRIGAMMA_TAIL = (
     1.0 / 6.0,
@@ -132,30 +105,9 @@ _TRIGAMMA_TAIL = (
 _ASYMPTOTIC_RE = 16.0  # first dropped term is ~1e-20 at |z| = 16
 
 
-def digamma(z: ArrayLike) -> ArrayLike:
-    """psi(z) for Re(z) > 0: recurrence shift to Re >= 16, then the
-    Bernoulli asymptotic series."""
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).copy()
-    _check_right_half(w, "digamma")
-    acc = np.zeros_like(w)
-    while True:
-        mask = w.real < _ASYMPTOTIC_RE
-        if not mask.any():
-            break
-        acc[mask] -= 1.0 / w[mask]
-        w[mask] += 1.0
-    x = 1.0 / (w * w)
-    tail = np.zeros_like(w)
-    for c in reversed(_DIGAMMA_TAIL):
-        tail = x * (c + tail)
-    out = acc + np.log(w) - 0.5 / w - tail
-    return _maybe_scalar(out, scalar)
-
-
 def trigamma(z: ArrayLike) -> ArrayLike:
-    """psi'(z) for Re(z) > 0, same shift-plus-asymptotics scheme."""
+    """psi'(z) for Re(z) > 0: recurrence shift to Re >= 16, then the
+    Bernoulli asymptotic series (scipy's polygamma is real-only)."""
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     w = np.atleast_1d(arr).copy()

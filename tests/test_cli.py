@@ -305,15 +305,27 @@ def test_trace_sweep_validation(tmp_path):
     assert main(["trace-sweep", "--lambda-list", "2,4", "--profile-width", "0", "--out", out]) == 2
 
 
-def test_trace_sweep_refuses_oversized_cutoff():
-    # parsing only, so that no trace_direct phase matrix is ever built; the
-    # refusal is a _UsageError, which main turns into exit 2
-    assert cli._trace_direct_bytes(64.0) == (40 + 16) * 24 * 512 * 32
+def test_trace_sweep_refuses_oversized_cutoff(tmp_path):
+    # parsing only, so that no trace is ever computed; the refusal is a
+    # _UsageError, which main turns into exit 2 before numpy is imported
+    assert cli._trace_direct_bytes(64.0) == (40 + 16) * 24 * 100
     assert cli._parse_lambdas("2,4,8,16,32,64") == (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    with pytest.raises(cli._UsageError, match=r"cutoff 1e\+06 needs about 51\.3 GB"):
-        cli._parse_lambdas("2,4,1e6")
-    with pytest.raises(cli._UsageError, match=r"cutoff 1e\+300"):
-        cli._parse_lambdas("1e300")
+    assert cli._parse_lambdas("2,4e10") == (2.0, 4e10)  # 0.96 GB
+    with pytest.raises(cli._UsageError, match=r"cutoff 1e\+12 needs about 4\.8 GB"):
+        cli._parse_lambdas("2,4,1e12")
+    with pytest.raises(cli._UsageError, match=r"cutoff 7e\+13 needs about 40\.2 GB"):
+        cli._parse_lambdas("7e13")
+    # from e^32 on, -2 log(cutoff) <= -64 leaves trace_spectral's sub-kink
+    # interval empty or reversed
+    from quatgamma.gamma_op import DEFAULT_V_HALF_WIDTH
+
+    assert cli._SPECTRAL_HALF_WIDTH == DEFAULT_V_HALF_WIDTH
+    for text in (repr(math.exp(32.0)), "1e14", "1e300"):
+        with pytest.raises(cli._UsageError, match="outside the spectral window"):
+            cli._parse_lambdas("2," + text)
+    out = tmp_path / "t.csv"
+    assert main(["trace-sweep", "--lambda-list", repr(math.exp(32.0)), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- g-constant

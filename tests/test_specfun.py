@@ -1,9 +1,9 @@
 """Special functions and spectral multipliers.
 
-The library path uses a Lanczos log-gamma; the oracle here is an
-independent Stirling-with-recurrence implementation, plus scipy as a
-third-party referee.  All frozen constants were derived by hand from the
-classical values psi(1) = -euler_gamma, psi'(1) = pi^2/6.
+The library path wraps scipy's loggamma and psi; the oracles here are an
+independent Stirling-with-recurrence implementation and mpmath, so no test
+compares scipy with scipy.  All frozen constants were derived by hand from
+the classical values psi(1) = -euler_gamma, psi'(1) = pi^2/6.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import digamma as sc_digamma, loggamma as sc_loggamma
 
 from quatgamma import NonConvergenceError
 from quatgamma.specfun import (
@@ -82,10 +82,11 @@ def test_log_gamma_vs_stirling_oracle():
         assert abs(log_gamma(z) - stirling_log_gamma(z)) <= 1e-12
 
 
-def test_log_gamma_vs_scipy_dense():
+def test_log_gamma_vs_stirling_dense():
     rng = np.random.default_rng(43)
     z = rng.uniform(0.02, 12.0, 20000) + 1j * rng.uniform(-250.0, 250.0, 20000)
-    assert np.max(np.abs(log_gamma(z) - sc_loggamma(z))) <= 1e-11
+    ref = np.array([stirling_log_gamma(zi) for zi in z])
+    assert np.max(np.abs(log_gamma(z) - ref)) <= 1e-11
 
 
 def test_log_gamma_domain():
@@ -107,10 +108,11 @@ def test_digamma_classical_and_recurrence():
         assert abs(digamma(z + 1.0) - (digamma(z) + 1.0 / z)) <= 1e-13
 
 
-def test_digamma_vs_scipy():
+def test_digamma_vs_mpmath():
     rng = np.random.default_rng(53)
     z = rng.uniform(0.05, 15.0, 5000) + 1j * rng.uniform(-200.0, 200.0, 5000)
-    assert np.max(np.abs(digamma(z) - sc_digamma(z))) <= 1e-13
+    ref = np.array([complex(mpmath.digamma(complex(zi))) for zi in z])
+    assert np.max(np.abs(digamma(z) - ref)) <= 1e-13
 
 
 def test_trigamma_values_and_recurrence():
@@ -159,6 +161,26 @@ def test_gamma_multiplier_is_line_restriction():
         gf = gamma_factor(n, 0.5 + 1j * tau)
         assert np.max(np.abs(gm - gf)) <= 1e-13
         assert np.max(np.abs(np.abs(gm) - 1.0)) <= 1e-14
+
+
+def test_line_multipliers_vs_mpmath():
+    # the multipliers both trace routes share, against their closed forms
+    # with a = 1 + N/2:
+    #   gamma_N = i^N (2 pi)^(-4 i tau) Gamma(a + 2 i tau) / Gamma(a - 2 i tau)
+    #   h_N = -4 log(2 pi) + 4 Re psi(a + 2 i tau),  k_N = 8 Im psi'(a + 2 i tau)
+    tau = np.concatenate([np.linspace(-100.0, 100.0, 201), [-1e-3, 1e-3, 0.37, 71.3]])
+    for n in (0, 1, 5, 40):
+        gm, hm, km = [], [], []
+        with mpmath.workdps(30):
+            for t in tau:
+                z = 1 + mpmath.mpf(n) / 2 + 2j * mpmath.mpf(t)
+                phase = 1j**n * mpmath.exp(-4j * mpmath.mpf(t) * mpmath.log(2 * mpmath.pi))
+                gm.append(complex(phase * mpmath.gamma(z) / mpmath.gamma(mpmath.conj(z))))
+                hm.append(float(-4 * mpmath.log(2 * mpmath.pi) + 4 * mpmath.re(mpmath.digamma(z))))
+                km.append(float(8 * mpmath.im(mpmath.psi(1, z))))
+        assert np.max(np.abs(gamma_multiplier(n, tau) - np.array(gm))) <= 1e-11
+        assert np.max(np.abs(h_multiplier(n, tau) - np.array(hm))) <= 1e-13
+        assert np.max(np.abs(k_multiplier(n, tau) - np.array(km))) <= 1e-13
 
 
 def test_gamma_multiplier_reflection_sign():

@@ -1,4 +1,8 @@
-"""Characters, class quadrature, and the oscillatory angular integral."""
+"""Characters, class quadrature, and the oscillatory angular integral.
+
+angular_bessel is the closed Bessel form; its reference here is the class
+integral itself, computed by Gauss-Legendre quadrature with node doubling
+(_angular_bessel_quadrature), plus a dense trapezoid rule at one point."""
 
 from __future__ import annotations
 
@@ -6,10 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import jv
 
 from quatgamma.quat_core import Quaternion
 from quatgamma.su2_angular import (
+    AngularQuadrature,
     angular_bessel,
     angular_quadrature,
     character,
@@ -86,6 +90,30 @@ def test_monomial_bound_and_validation():
 # --------------------------------------------------------- oscillatory integral
 
 
+def _bessel_at(N: int, rho: np.ndarray, quad: AngularQuadrature) -> np.ndarray:
+    chi = character(N, quad.nodes)
+    phases = np.exp(-4j * np.pi * np.multiply.outer(rho, np.cos(quad.nodes)))
+    return phases @ (quad.weights * chi)
+
+
+def _angular_bessel_quadrature(N: int, rho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Reference: the class integral by Gauss-Legendre quadrature, node count
+    doubled until two successive resolutions agree within tol (absolute);
+    the starting count scales with rho so the ~4 rho oscillations resolve."""
+    rho = np.asarray(rho, dtype=float)
+    n = 64
+    while n < 16.0 * (float(rho.max()) + 1.0):
+        n *= 2
+    prev = _bessel_at(N, rho, angular_quadrature(n))
+    for _ in range(8):
+        n *= 2
+        cur = _bessel_at(N, rho, angular_quadrature(n))
+        if np.max(np.abs(cur - prev)) <= tol:
+            return cur
+        prev = cur
+    raise AssertionError(f"reference quadrature (N={N}) did not stabilize at {n} nodes")
+
+
 def dense_trapezoid_oracle(n: int, rho: float, nodes: int = 100_000) -> complex:
     th = np.linspace(0.0, np.pi, nodes)
     f = (2.0 / np.pi) * np.exp(-4j * np.pi * rho * np.cos(th)) * character(
@@ -101,22 +129,22 @@ def test_angular_bessel_at_zero():
 
 
 def test_angular_bessel_vs_dense_trapezoid():
-    val = angular_bessel(0, 0.5, tol=1e-12)
+    val = angular_bessel(0, 0.5)
     assert abs(val - dense_trapezoid_oracle(0, 0.5)) <= 1e-10
 
 
 def test_angular_bessel_closed_form():
-    # frozen closed form: 2*(-i)^N*(N+1)*J_{N+1}(4 pi rho)/(4 pi rho)
-    for n in range(7):
-        for rho in (0.3, 0.7, 1.5, 3.0):
-            x = 4.0 * np.pi * rho
-            ref = 2.0 * (-1j) ** n * (n + 1) * jv(n + 1, x) / x
-            assert abs(angular_bessel(n, rho, tol=1e-12) - ref) <= 1e-10
+    # the closed Bessel form against the class integral it stands for,
+    # N <= 40 and rho in [0, 30]
+    rho = np.concatenate([[0.0, 1e-9, 1e-3], np.linspace(0.01, 30.0, 400)])
+    for n in (0, 1, 2, 3, 5, 8, 17, 29, 40):
+        ref = _angular_bessel_quadrature(n, rho)
+        assert np.max(np.abs(angular_bessel(n, rho) - ref)) <= 1e-13
 
 
 def test_angular_bessel_parity_and_bound():
     for n in range(6):
-        v = angular_bessel(n, 0.8, tol=1e-12)
+        v = angular_bessel(n, 0.8)
         if n % 2 == 0:
             assert abs(v.imag) <= 1e-12
         else:
