@@ -24,19 +24,22 @@ Gamma,
 so the weight becomes plain multiplication by max(2 log Lambda + v, 0) on
 the log side (see trace_spectral).  The kink of that weight at
 v = -2 log Lambda would poison a uniform-grid transform, so the transform
-is split there and the sub-kink piece handled by oscillatory panel
-quadrature that stays accurate across the whole spectral window.
+is split there.  The sub-kink piece enters the trace only through its
+gamma_N-weighted sum over the finite tau-grid, so sum and integral swap:
+it is the integral over [-V, -2 log Lambda] of the smooth factor against
+G(v) = sum_k gamma_N(tau_k) e^{i tau_k v}.  G is band-limited to the
+tau-window, so fixed Gauss-Legendre panels resolve the product to
+rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_legendre, spherical_jn
 
 from ._errors import QuadratureError
 from .gamma_op import (
@@ -48,7 +51,7 @@ from .gamma_op import (
     value_at_identity,
 )
 from .specfun import gamma_multiplier
-from .spectral_line import LogProfile, profile_value, to_spectral
+from .spectral_line import LogProfile, SpectralProfile, profile_value, to_spectral
 from .su2_angular import angular_bessel
 
 __all__ = [
@@ -157,8 +160,9 @@ def trace_direct(
     fine = _direct_quadrature(f, lam, nodes_per_panel + nodes_per_panel // 2, v_min)
     if abs(coarse - fine) > tol * max(1.0, abs(fine)):
         raise QuadratureError(
-            f"direct trace refinements disagree by {abs(coarse - fine):.3e} at "
-            f"cutoff {lam}"
+            f"trace_direct: refinements at {nodes_per_panel} and "
+            f"{nodes_per_panel + nodes_per_panel // 2} nodes per panel disagree by "
+            f"{abs(coarse - fine):.3e} (tol {tol:g}) at cutoff {lam}"
         )
     return fine
 
@@ -166,53 +170,30 @@ def trace_direct(
 # ---------------------------------------------------------- spectral route
 
 
-def _filon_fourier(
-    g: Callable[[np.ndarray], np.ndarray],
+def _sub_kink_sum(
+    psi: SpectralProfile,
+    gamma_vals: np.ndarray,
+    two_log: float,
     lo: float,
-    hi: float,
-    taus: np.ndarray,
-    panel_width: float = 1.0,
-    degree: int = 16,
-) -> np.ndarray:
-    """int_lo^hi g(v) e^{i tau v} dv for every tau at once.
-
-    Per panel the smooth factor g is projected onto Legendre polynomials
-    and the oscillatory moments int P_m(x) e^{i alpha x} dx = 2 i^m
-    j_m(alpha) are exact, so accuracy is uniform in tau instead of
-    collapsing once the phase outruns a fixed Gauss rule.
-
-    The tau-only factors are evaluated once per distinct a = |tau|, which
-    halves the work on a symmetric grid: the moments 2 i^m j_m(a h) in one
-    broadcast spherical_jn call and the panel phases E = e^{i a mid}.  The
-    contraction runs over panels first, as one matrix product
-    E @ [c | conj c] with c the panel coefficients, then over orders, as a
-    row-wise dot of each block with the moments, and gathers by tau last.
-    The first block serves tau >= 0.  For tau < 0, e^{-i a mid} is
-    conj(e^{i a mid}) and j_m(-x) = (-1)^m j_m(x) turns i^m into conj(i^m),
-    so the value is the conjugate of the second block's dot.
-    """
-    n_panels = max(1, int(math.ceil((hi - lo) / panel_width)))
+    panel_width: float,
+) -> complex:
+    """sum_k gamma_vals[k] psi_c(tau_k), psi_c the transform of
+    g = (2 log Lambda + v) K over [lo, -2 log Lambda], as the single
+    integral of g(v) G(v) with G(v) = sum_k gamma_vals[k] e^{i tau_k v}.
+    Both factors are trigonometric sums on psi's tau-window, so their
+    product is band-limited and 32-node Gauss-Legendre on equal panels of
+    width at most panel_width resolves it to rounding."""
+    hi = -two_log
+    n_panels = int(math.ceil((hi - lo) / panel_width))
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[1:] + edges[:-1])
-
-    n_proj = degree + 4
-    x, w = leggauss(n_proj)
-    orders = np.arange(degree + 1)
-    legendre = eval_legendre(orders[:, None], x[None, :])
-    projector = legendre * w[None, :] * ((2.0 * orders + 1.0) / 2.0)[:, None]
-
-    nodes = (mids[:, None] + half * x[None, :]).ravel()
-    g_nodes = np.asarray(g(nodes), dtype=complex).reshape(n_panels, n_proj)
-    coeffs = g_nodes @ projector.T  # (panels, degree+1)
-
-    taus = np.asarray(taus, dtype=float)
-    a, idx = np.unique(np.abs(taus), return_inverse=True)
-    moments = 2.0 * 1j**orders * spherical_jn(orders[None, :], (a * half)[:, None])
-    phases = np.exp(1j * np.outer(a, mids))  # (|tau| values, panels)
-    sums = phases @ np.concatenate([coeffs, coeffs.conj()], axis=1)
-    dots = np.sum(sums.reshape(len(a), 2, degree + 1) * moments[:, None, :], axis=2)
-    return half * np.where(taus < 0.0, dots[idx, 1].conj(), dots[idx, 0])
+    x, w = leggauss(32)
+    v = (mids[:, None] + half * x[None, :]).ravel()
+    g = (two_log + v) * profile_value(psi, v)
+    gamma_prof = SpectralProfile(psi.spacing, psi.half_width, gamma_vals)
+    G = (2.0 * np.pi / psi.spacing) * profile_value(gamma_prof, -v)
+    return complex(half * np.sum(np.tile(w, n_panels) * g * G))
 
 
 def trace_spectral(f: IsotypicFunction, lam: float, tol: float = 1e-8) -> complex:
@@ -222,8 +203,11 @@ def trace_spectral(f: IsotypicFunction, lam: float, tol: float = 1e-8) -> comple
     The weight is exact on the log side.  Its kink at v0 = -2 log Lambda
     is split off: the full-line linear weight transforms on the uniform
     grid (spectrally accurate, the integrand is smooth), and the
-    correction over [-V, v0], where the true weight vanishes, goes through
-    the oscillatory panel transform.  Two panel densities must agree.
+    correction over [-V, v0], where the true weight vanishes, enters only
+    through its gamma_N-weighted sum over the tau-grid, which is
+    integrated in swapped order (_sub_kink_sum).  Two panel widths must
+    agree within tol.  A cutoff of e^{V/2} or more puts the kink outside
+    the log window and is refused.
     """
     if lam <= 1.0:
         raise ValueError("cutoff must exceed 1")
@@ -232,30 +216,30 @@ def trace_spectral(f: IsotypicFunction, lam: float, tol: float = 1e-8) -> comple
 
     f1 = gamma_inverse(inversion(f))
     prof = f1.log_profile
+    if v0 <= -prof.half_width:
+        raise ValueError(
+            f"cutoff {lam} puts the kink -2 log(Lambda) = {v0:.4g} outside the "
+            f"log window [-{prof.half_width:g}, {prof.half_width:g}]; cutoffs "
+            f"must stay below e^{prof.half_width / 2:g}"
+        )
     psi = f1.spectral_profile
     full = LogProfile(
         prof.spacing, prof.half_width, (two_log + prof.grid) * prof.samples
     )
     psi_full = to_spectral(full, psi.spacing, psi.half_width)
 
-    def sub_kink(v: np.ndarray) -> np.ndarray:
-        return (two_log + v) * profile_value(psi, v)
+    gamma_vals = gamma_multiplier(f.N, psi.grid)
+    lo = -prof.half_width
+    coarse = _sub_kink_sum(psi, gamma_vals, two_log, lo, panel_width=1.0)
+    fine = _sub_kink_sum(psi, gamma_vals, two_log, lo, panel_width=0.5)
 
-    taus = psi.grid
-    psi_c = _filon_fourier(sub_kink, -prof.half_width, v0, taus, panel_width=1.0)
-    psi_c_fine = _filon_fourier(
-        sub_kink, -prof.half_width, v0, taus, panel_width=0.5
-    )
-
-    gamma_vals = gamma_multiplier(f.N, taus)
     weight = (f.N + 1) * psi.spacing / (2.0 * np.pi)
-
-    trace = weight * np.sum(gamma_vals * (psi_full.samples - psi_c_fine))
-    check = weight * np.sum(gamma_vals * (psi_full.samples - psi_c))
-    if abs(trace - check) > tol * max(1.0, abs(trace)):
+    trace = weight * (np.sum(gamma_vals * psi_full.samples) - fine)
+    gap = weight * abs(fine - coarse)
+    if gap > tol * max(1.0, abs(trace)):
         raise QuadratureError(
-            f"spectral trace refinements disagree by {abs(trace - check):.3e} "
-            f"at cutoff {lam}"
+            f"trace_spectral: sub-kink panel widths 1.0 and 0.5 disagree by "
+            f"{gap:.3e} (tol {tol:g}) at cutoff {lam}"
         )
     return complex(trace)
 

@@ -9,6 +9,7 @@ floors measured on this grid stack.
 """
 
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from quatgamma.connes_trace import (
     DEFAULT_LAMBDAS,
     TraceConfig,
     TraceResult,
-    _filon_fourier,
+    _sub_kink_sum,
     fit_trace_expansion,
     residual_sweep,
     trace_direct,
@@ -35,7 +36,7 @@ from quatgamma.gamma_op import (
     op_H,
     value_at_identity,
 )
-from quatgamma.specfun import h_multiplier
+from quatgamma.specfun import gamma_multiplier, h_multiplier
 from quatgamma.spectral_line import profile_value
 
 
@@ -47,6 +48,57 @@ def standard():
 @pytest.fixture(scope="module")
 def sweep(standard):
     return residual_sweep(TraceConfig(f=standard))
+
+
+def _filon_fourier(
+    g: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    taus: np.ndarray,
+    panel_width: float = 1.0,
+    degree: int = 16,
+) -> np.ndarray:
+    """int_lo^hi g(v) e^{i tau v} dv for every tau at once: the Filon-type
+    panel transform (Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383),
+    the oracle for trace_spectral's swapped-order sub-kink integral.
+
+    Per panel the smooth factor g is projected onto Legendre polynomials
+    and the oscillatory moments int P_m(x) e^{i alpha x} dx = 2 i^m
+    j_m(alpha) are exact, so accuracy is uniform in tau instead of
+    collapsing once the phase outruns a fixed Gauss rule.
+
+    The tau-only factors are evaluated once per distinct a = |tau|, which
+    halves the work on a symmetric grid: the moments 2 i^m j_m(a h) in one
+    broadcast spherical_jn call and the panel phases E = e^{i a mid}.  The
+    contraction runs over panels first, as one matrix product
+    E @ [c | conj c] with c the panel coefficients, then over orders, as a
+    row-wise dot of each block with the moments, and gathers by tau last.
+    The first block serves tau >= 0.  For tau < 0, e^{-i a mid} is
+    conj(e^{i a mid}) and j_m(-x) = (-1)^m j_m(x) turns i^m into conj(i^m),
+    so the value is the conjugate of the second block's dot.
+    """
+    n_panels = max(1, int(math.ceil((hi - lo) / panel_width)))
+    edges = np.linspace(lo, hi, n_panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+
+    n_proj = degree + 4
+    x, w = leggauss(n_proj)
+    orders = np.arange(degree + 1)
+    legendre = eval_legendre(orders[:, None], x[None, :])
+    projector = legendre * w[None, :] * ((2.0 * orders + 1.0) / 2.0)[:, None]
+
+    nodes = (mids[:, None] + half * x[None, :]).ravel()
+    g_nodes = np.asarray(g(nodes), dtype=complex).reshape(n_panels, n_proj)
+    coeffs = g_nodes @ projector.T  # (panels, degree+1)
+
+    taus = np.asarray(taus, dtype=float)
+    a, idx = np.unique(np.abs(taus), return_inverse=True)
+    moments = 2.0 * 1j**orders * spherical_jn(orders[None, :], (a * half)[:, None])
+    phases = np.exp(1j * np.outer(a, mids))  # (|tau| values, panels)
+    sums = phases @ np.concatenate([coeffs, coeffs.conj()], axis=1)
+    dots = np.sum(sums.reshape(len(a), 2, degree + 1) * moments[:, None, :], axis=2)
+    return half * np.where(taus < 0.0, dots[idx, 1].conj(), dots[idx, 0])
 
 
 def _filon_fourier_direct(g, lo, hi, taus, panel_width=1.0, degree=16):
@@ -158,14 +210,41 @@ def test_filon_matches_direct_on_trace_integrand(n):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_sub_kink_matches_filon(n):
+    # trace_spectral's swapped-order sub-kink integral int g G at its fine
+    # width against the per-tau Filon transforms summed with the gamma_N
+    # weights.  The oracle runs at width 0.25: at 0.5 its own error
+    # (5e-16 on 3.4e-7 at Lambda = 16) exceeds the integral's.  Measured
+    # <= 4.3e-14 relative at Lambda = 2 (magnitudes 0.066 - 0.086) and
+    # <= 3.3e-20 absolute at Lambda = 16 (9.2e-8 - 3.4e-7).
+    f1 = gamma_inverse(inversion(gaussian_isotypic(n)))
+    prof, psi = f1.log_profile, f1.spectral_profile
+    gamma_vals = gamma_multiplier(n, psi.grid)
+    for lam in (2.0, 16.0):
+        two_log = 2.0 * math.log(lam)
+
+        def sub_kink(v):
+            return (two_log + v) * profile_value(psi, v)
+
+        got = _sub_kink_sum(psi, gamma_vals, two_log, -prof.half_width, 0.5)
+        psi_c = _filon_fourier(
+            sub_kink, -prof.half_width, -two_log, psi.grid, panel_width=0.25
+        )
+        ref = np.sum(gamma_vals * psi_c)
+        assert abs(got - ref) <= 1e-16 + 1e-12 * abs(ref)
+
+
 # ------------------------------------------------------------ route equality
 
 
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("lam", [2.0, 4.0, 8.0])
 def test_routes_agree(n, lam):
-    # measured worst 6.0e-9 (N=0, Lambda=2); the oscillatory route loses
-    # accuracy at small cutoffs where the kink sits inside the bulk
+    # measured worst 6.0e-9 (N=0, Lambda=2): the spectral route truncates
+    # the tau window at |tau| = 64, and the kink at -2 log Lambda leaves a
+    # tau^-2 tail there that is largest where K at the kink is, at small
+    # cutoffs
     f = gaussian_isotypic(n)
     d = trace_direct(f, lam)
     s = trace_spectral(f, lam)
@@ -288,15 +367,23 @@ def test_cutoff_must_exceed_one(standard):
 def test_direct_refinement_failure_is_reported(standard):
     # two nodes per panel cannot resolve a full oscillation period; the
     # coarse/fine disagreement is 5e-3 at this cutoff
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match=r"trace_direct: .*\(tol 1e-08\)"):
         trace_direct(standard, 8.0, nodes_per_panel=2)
 
 
 def test_spectral_refinement_check_is_live(standard):
-    # the two kink-panel refinements differ by ~2e-15, so a zero
-    # tolerance must trip the guard
-    with pytest.raises(QuadratureError):
+    # the sub-kink integrals at panel widths 1.0 and 0.5 differ by 1.4e-17
+    # in the trace, so a zero tolerance must trip the guard
+    with pytest.raises(QuadratureError, match=r"trace_spectral: .*\(tol 0\)"):
         trace_spectral(standard, 4.0, tol=0.0)
+
+
+@pytest.mark.parametrize("log_lam", [32.5, 40.0])
+def test_spectral_refuses_kink_outside_window(standard, log_lam):
+    # the kink -2 log Lambda must lie inside the log window [-64, 64];
+    # beyond it the sub-kink interval [-64, v0] would be reversed
+    with pytest.raises(ValueError, match="outside the log window"):
+        trace_spectral(standard, math.exp(log_lam))
 
 
 def test_fit_needs_two_points(sweep):

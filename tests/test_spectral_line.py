@@ -194,6 +194,20 @@ def test_profile_value_matches_dense_sum(N):
         assert np.max(np.abs(fast - dense)) <= 1e-12 * peak
 
 
+@pytest.mark.parametrize("N", [0, 1, 5])
+def test_profile_value_on_unimodular_psi(N):
+    # trace_spectral reads G(v) = sum_k gamma_N(tau_k) e^{i tau_k v} through
+    # profile_value; gamma_N has |gamma_N| = 1 and never decays, so the
+    # error is bounded by the scale sum_k |psi_k| dtau / 2pi, not the peak;
+    # measured 1.2e-14 x scale
+    psi = SpectralProfile.from_function(lambda tau: gamma_multiplier(N, tau))
+    v = np.random.default_rng(77 + N).uniform(-64.0, 0.0, 2000)
+    scale = np.sum(np.abs(psi.samples)) * psi.spacing / (2.0 * np.pi)
+    fast = profile_value(psi, v)
+    dense = _profile_value_direct(psi, v)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * scale
+
+
 def test_profile_value_scalar_empty_and_shape():
     g = gamma_transform(gaussian_isotypic(1))
     psi = g.spectral_profile
