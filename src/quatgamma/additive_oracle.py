@@ -1,7 +1,7 @@
 """Additive-picture oracles: brute-force 4D Fourier transform on a box
 grid, its radial-angular reduction for single-sector functions, the
-regularized log-weight distribution G, homogeneous distributions, and the
-Gaussian moment identities.
+regularized log-weight distribution G, the homogeneous distributions
+Delta_s, and the Gaussian moment identities.
 
 Conventions, fixed once and used everywhere:
 
@@ -45,11 +45,9 @@ __all__ = [
     "G_CONSTANT",
     "Grid4D",
     "GridFunction",
-    "HomogeneousDistribution",
     "brute_fourier",
     "radial_fourier",
     "omega_grid_function",
-    "gaussian_grid_function",
     "isotypic_grid_function",
     "distribution_G",
     "delta_s",
@@ -144,25 +142,16 @@ class GridFunction:
         return cls(grid, vals.reshape(m, m, m, m))
 
 
-def _separable_gaussian(grid: Grid4D, t: float) -> np.ndarray:
-    """e^{-2 pi t n(x)} as the outer product ((g g) g) g of the 1D factor,
-    the last product written straight into the complex result, so no real
-    M^4 array is made and copied."""
-    g1 = np.exp(-2.0 * np.pi * t * grid.axis() ** 2)
+def omega_grid_function(grid: Grid4D) -> GridFunction:
+    """The self-dual Gaussian e^{-2 pi n(x)}, built separably and exactly:
+    the outer product ((g g) g) g of the 1D factor, the last product
+    written straight into the complex result, so no real M^4 array is
+    made and copied."""
+    g1 = np.exp(-2.0 * np.pi * grid.axis() ** 2)
     m = grid.points_per_axis
     vals = np.empty((m, m, m, m), dtype=complex)
     np.multiply(np.multiply.outer(np.multiply.outer(g1, g1), g1)[..., None], g1, out=vals)
-    return vals
-
-
-def omega_grid_function(grid: Grid4D) -> GridFunction:
-    """The self-dual Gaussian e^{-2 pi n(x)}, built separably and exactly."""
-    return GridFunction(grid, _separable_gaussian(grid, 1.0))
-
-
-def gaussian_grid_function(grid: Grid4D, t: float) -> GridFunction:
-    """e^{-2 pi t n(x)}; its transform is t^{-2} e^{-2 pi n(y)/t}."""
-    return GridFunction(grid, _separable_gaussian(grid, t))
+    return GridFunction(grid, vals)
 
 
 def isotypic_grid_function(grid: Grid4D, f: IsotypicFunction) -> GridFunction:
@@ -410,21 +399,6 @@ def delta_s(
     value = np.sum(w_in * np.exp(s * u_in) * (avg_in - phi0))
     value += np.sum(w_out * np.exp(s * u_out) * avg_out)
     return complex(2.0 * np.pi**2 * value + 2.0 * np.pi**2 / s * phi0)
-
-
-@dataclass(frozen=True)
-class HomogeneousDistribution:
-    """Delta_s as a reusable object; evaluation delegates to delta_s."""
-
-    s: complex
-
-    def __post_init__(self) -> None:
-        s = complex(self.s)
-        if s == 0 or s.real <= -0.25:
-            raise ValueError("s must satisfy Re(s) > -1/4 and s != 0")
-
-    def __call__(self, phi, phi_zero=None, **quadrature) -> complex:
-        return delta_s(self.s, phi, phi_zero, **quadrature)
 
 
 # ------------------------------------------------------- Gaussian moments

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
 import re
 import sys
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from ._errors import AliasingError, DecayError, NonConvergenceError, QuadratureError
@@ -131,6 +132,41 @@ def _write_json(path: str, payload: Dict[str, object]) -> None:
         fh.write("\n")
 
 
+_Table = Tuple[Dict[str, object], Sequence[str], List[Tuple[object, ...]], Dict[str, object]]
+
+
+def _table_command(build: Callable[[argparse.Namespace], _Table]):
+    """Turn build(args) -> (manifest, header, rows, figures) into a table
+    command: time it, write the CSV to --out, and write the summary beside
+    it (manifest, duration, row count and the command's own figures)."""
+
+    @functools.wraps(build)
+    def run(args: argparse.Namespace) -> int:
+        start = time.monotonic()
+        manifest, header, rows, figures = build(args)
+        _write_csv(args.out, manifest, header, rows)
+        duration = time.monotonic() - start
+        _write_json(
+            _summary_path(args.out),
+            {"manifest": manifest, "duration_seconds": duration, "rows": len(rows), **figures},
+        )
+        return 0
+
+    return run
+
+
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: anything but a finite real
+    is a usage error (exit 2, before any numerical import)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _check_table_size(sectors: range, points: float, what: str) -> None:
     """Refuse a table of more than _MAX_TABLE_ROWS rows: one row per sector
     and grid point."""
@@ -195,8 +231,6 @@ def _parse_lambdas(text: str) -> Tuple[float, ...]:
 def _tau_grid(args: argparse.Namespace, sectors: range):
     if None in (args.tau_min, args.tau_max, args.tau_step):
         raise _UsageError("--tau-min, --tau-max and --tau-step are all required")
-    if not all(math.isfinite(v) for v in (args.tau_min, args.tau_max, args.tau_step)):
-        raise _UsageError("--tau-min, --tau-max and --tau-step must be finite")
     if args.tau_step <= 0.0:
         raise _UsageError("--tau-step must be positive")
     if args.tau_max < args.tau_min:
@@ -230,8 +264,8 @@ def _seeded_probes(count: int, seed: int, lo: float = 0.4, hi: float = 0.9):
 # ------------------------------------------------------------------ commands
 
 
-def cmd_gamma_table(args: argparse.Namespace) -> int:
-    start = time.monotonic()
+@_table_command
+def cmd_gamma_table(args: argparse.Namespace) -> _Table:
     sectors = _sector_range(args)
     tau_mode = not (args.tau_min is None and args.tau_max is None and args.tau_step is None)
     if tau_mode == (args.s_grid is not None):
@@ -270,20 +304,12 @@ def cmd_gamma_table(args: argparse.Namespace) -> int:
             unit_err = max(unit_err, float(np.max(np.abs(mags - 1.0))))
         rows += zip([n] * len(svals), re_s, im_s, vals.real.tolist(), vals.imag.tolist(), mags.tolist())
 
-    _write_csv(args.out, manifest, ("N", "re_s", "im_s", "re_gamma", "im_gamma", "abs_gamma"), rows)
-    summary: Dict[str, object] = {
-        "manifest": manifest,
-        "duration_seconds": time.monotonic() - start,
-        "rows": len(rows),
-    }
-    if tau_mode:
-        summary["max_unit_modulus_error"] = unit_err
-    _write_json(_summary_path(args.out), summary)
-    return 0
+    header = ("N", "re_s", "im_s", "re_gamma", "im_gamma", "abs_gamma")
+    return manifest, header, rows, {"max_unit_modulus_error": unit_err} if tau_mode else {}
 
 
-def cmd_spectral_scan(args: argparse.Namespace) -> int:
-    start = time.monotonic()
+@_table_command
+def cmd_spectral_scan(args: argparse.Namespace) -> _Table:
     sectors = _sector_range(args)
 
     import numpy as np
@@ -317,24 +343,16 @@ def cmd_spectral_scan(args: argparse.Namespace) -> int:
             max_k, max_k_at = float(abs(k[j])), (n, float(taus[j]))
         rows += zip([n] * len(taus), tau_list, h.tolist(), k.tolist())
 
-    _write_csv(args.out, manifest, ("N", "tau", "h", "k"), rows)
-    _write_json(
-        _summary_path(args.out),
-        {
-            "manifest": manifest,
-            "duration_seconds": time.monotonic() - start,
-            "rows": len(rows),
-            "min_h": min_h,
-            "min_h_at": list(min_h_at),
-            "max_abs_k": max_k,
-            "max_abs_k_at": list(max_k_at),
-        },
-    )
-    return 0
+    return manifest, ("N", "tau", "h", "k"), rows, {
+        "min_h": min_h,
+        "min_h_at": list(min_h_at),
+        "max_abs_k": max_k,
+        "max_abs_k_at": list(max_k_at),
+    }
 
 
-def cmd_functional_eq(args: argparse.Namespace) -> int:
-    start = time.monotonic()
+@_table_command
+def cmd_functional_eq(args: argparse.Namespace) -> _Table:
     sectors = _sector_range(args)
     svals = _parse_s_grid(args.s_grid, sectors)
     manifest = _manifest(
@@ -364,23 +382,10 @@ def cmd_functional_eq(args: argparse.Namespace) -> int:
         worst_fe.append(float(fe.max()))
         worst_quad.append(float(quad.max()))
 
-    _write_csv(
-        args.out,
-        manifest,
-        ("N", "re_s", "im_s", "funceq_residual", "quad_residual"),
-        rows,
-    )
-    _write_json(
-        _summary_path(args.out),
-        {
-            "manifest": manifest,
-            "duration_seconds": time.monotonic() - start,
-            "rows": len(rows),
-            "max_funceq_residual": max(worst_fe, default=None),
-            "max_quad_residual": max(worst_quad, default=None),
-        },
-    )
-    return 0
+    return manifest, ("N", "re_s", "im_s", "funceq_residual", "quad_residual"), rows, {
+        "max_funceq_residual": max(worst_fe, default=None),
+        "max_quad_residual": max(worst_quad, default=None),
+    }
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
@@ -443,8 +448,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace_sweep(args: argparse.Namespace) -> int:
-    start = time.monotonic()
+@_table_command
+def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
     if args.n_min < 0:
         raise _UsageError("--n-min must be >= 0")
     if args.profile_width <= 0.0:
@@ -496,21 +501,13 @@ def cmd_trace_sweep(args: argparse.Namespace) -> int:
         except ValueError:
             slope = intercept = None
 
-    _write_csv(args.out, manifest, ("lambda", "tr_direct", "tr_spectral", "residual"), rows)
-    _write_json(
-        _summary_path(args.out),
-        {
-            "manifest": manifest,
-            "duration_seconds": time.monotonic() - start,
-            "rows": len(rows),
-            "slope": slope,
-            "intercept": intercept,
-            "f_at_1": value_at_identity(f).real,
-            "h_at_1": value_at_identity(op_H(f)).real,
-            "max_route_discrepancy": route_gap,
-        },
-    )
-    return 0
+    return manifest, ("lambda", "tr_direct", "tr_spectral", "residual"), rows, {
+        "slope": slope,
+        "intercept": intercept,
+        "f_at_1": value_at_identity(f).real,
+        "h_at_1": value_at_identity(op_H(f)).real,
+        "max_route_discrepancy": route_gap,
+    }
 
 
 def cmd_g_constant(args: argparse.Namespace) -> int:
@@ -557,9 +554,9 @@ def _add_sector_flags(p: argparse.ArgumentParser, with_max: bool = True) -> None
 
 
 def _add_tau_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau-min", type=float, default=None)
-    p.add_argument("--tau-max", type=float, default=None)
-    p.add_argument("--tau-step", type=float, default=None)
+    p.add_argument("--tau-min", type=_finite_float, default=None)
+    p.add_argument("--tau-max", type=_finite_float, default=None)
+    p.add_argument("--tau-step", type=_finite_float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -593,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="brute-force 4D Fourier cross-checks")
     p.add_argument("--grid-m", type=int, default=33, help="grid points per axis (odd)")
-    p.add_argument("--grid-l", type=float, default=2.0, help="grid half extent")
+    p.add_argument("--grid-l", type=_finite_float, default=2.0, help="grid half extent")
     p.add_argument("--probes", type=int, default=6, help="number of probe points")
     p.add_argument("--seed", type=int, default=7, help="probe RNG seed")
     p.add_argument("--out", default=None, help="optional JSON report path")
@@ -602,14 +599,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace-sweep", help="truncated trace by both routes")
     _add_sector_flags(p, with_max=False)
     p.add_argument("--lambda-list", default="2,4,8,16,32,64", help="comma-separated cutoffs")
-    p.add_argument("--profile-width", type=float, default=1.0, help="Gaussian width in v")
-    p.add_argument("--profile-scale", type=float, default=1.0, help="profile amplitude")
-    p.add_argument("--tol", type=float, default=1e-8, help="refinement tolerance")
+    p.add_argument("--profile-width", type=_finite_float, default=1.0, help="Gaussian width in v")
+    p.add_argument("--profile-scale", type=_finite_float, default=1.0, help="profile amplitude")
+    p.add_argument("--tol", type=_finite_float, default=1e-8, help="refinement tolerance")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_trace_sweep)
 
     p = sub.add_parser("g-constant", help="expansion constant of the moment pole")
-    p.add_argument("--tol", type=float, default=1e-7, help="extrapolation guard")
+    p.add_argument("--tol", type=_finite_float, default=1e-7, help="extrapolation guard")
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(func=cmd_g_constant)
 

@@ -51,7 +51,7 @@ from .gamma_op import (
     value_at_identity,
 )
 from .specfun import gamma_multiplier
-from .spectral_line import LogProfile, SpectralProfile, profile_value, to_spectral
+from .spectral_line import Profile, profile_value, to_spectral
 from .su2_angular import angular_bessel
 
 __all__ = [
@@ -171,7 +171,7 @@ def trace_direct(
 
 
 def _sub_kink_sum(
-    psi: SpectralProfile,
+    psi: Profile,
     gamma_vals: np.ndarray,
     two_log: float,
     lo: float,
@@ -191,7 +191,7 @@ def _sub_kink_sum(
     x, w = leggauss(32)
     v = (mids[:, None] + half * x[None, :]).ravel()
     g = (two_log + v) * profile_value(psi, v)
-    gamma_prof = SpectralProfile(psi.spacing, psi.half_width, gamma_vals)
+    gamma_prof = Profile(psi.spacing, psi.half_width, gamma_vals)
     G = (2.0 * np.pi / psi.spacing) * profile_value(gamma_prof, -v)
     return complex(half * np.sum(np.tile(w, n_panels) * g * G))
 
@@ -223,9 +223,7 @@ def trace_spectral(f: IsotypicFunction, lam: float, tol: float = 1e-8) -> comple
             f"must stay below e^{prof.half_width / 2:g}"
         )
     psi = f1.spectral_profile
-    full = LogProfile(
-        prof.spacing, prof.half_width, (two_log + prof.grid) * prof.samples
-    )
+    full = Profile(prof.spacing, prof.half_width, (two_log + prof.grid) * prof.samples)
     psi_full = to_spectral(full, psi.spacing, psi.half_width)
 
     gamma_vals = gamma_multiplier(f.N, psi.grid)

@@ -26,7 +26,7 @@ worse, bias operator-identity checks at the 1e-2 level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -36,10 +36,8 @@ from .specfun import gamma_multiplier, h_multiplier, k_multiplier
 from .spectral_line import (
     DEFAULT_SPECTRAL_HALF_WIDTH,
     DEFAULT_SPECTRAL_SPACING,
-    LogProfile,
-    SpectralProfile,
     WIDE_LOG_HALF_WIDTH,
-    apply_multiplier,
+    Profile,
     evaluate_at_one,
     from_spectral,
     profile_value,
@@ -75,18 +73,8 @@ class IsotypicFunction:
     """Angular mode N plus the radial profile in both pictures."""
 
     N: int
-    log_profile: LogProfile
-    spectral_profile: SpectralProfile
-
-    @classmethod
-    def from_log_profile(
-        cls,
-        N: int,
-        profile: LogProfile,
-        tau_spacing: float = DEFAULT_SPECTRAL_SPACING,
-        tau_half_width: float = DEFAULT_SPECTRAL_HALF_WIDTH,
-    ) -> "IsotypicFunction":
-        return cls(N, profile, to_spectral(profile, tau_spacing, tau_half_width))
+    log_profile: Profile
+    spectral_profile: Profile
 
     @classmethod
     def from_log_function(
@@ -98,26 +86,23 @@ class IsotypicFunction:
         tau_spacing: float = DEFAULT_SPECTRAL_SPACING,
         tau_half_width: float = DEFAULT_SPECTRAL_HALF_WIDTH,
     ) -> "IsotypicFunction":
-        profile = LogProfile.from_function(fn, v_spacing, v_half_width)
-        return cls.from_log_profile(N, profile, tau_spacing, tau_half_width)
+        profile = Profile.from_function(fn, v_spacing, v_half_width)
+        return cls(N, profile, to_spectral(profile, tau_spacing, tau_half_width))
 
     @classmethod
     def from_spectral_profile(
         cls,
         N: int,
-        psi: SpectralProfile,
+        psi: Profile,
         v_spacing: float = DEFAULT_V_SPACING,
         v_half_width: float = DEFAULT_V_HALF_WIDTH,
     ) -> "IsotypicFunction":
         return cls(N, from_spectral(psi, v_spacing, v_half_width), psi)
 
     def _replace_spectral(self, samples: np.ndarray) -> "IsotypicFunction":
-        psi = SpectralProfile(
-            self.spectral_profile.spacing, self.spectral_profile.half_width, samples
-        )
-        k = from_spectral(
-            psi, self.log_profile.spacing, self.log_profile.half_width
-        )
+        """The function whose spectral samples are these, on the same grids."""
+        psi = replace(self.spectral_profile, samples=samples)
+        k = from_spectral(psi, self.log_profile.spacing, self.log_profile.half_width)
         return IsotypicFunction(self.N, k, psi)
 
 
@@ -150,29 +135,28 @@ def value_at_identity(f: IsotypicFunction) -> complex:
 def inversion(f: IsotypicFunction) -> IsotypicFunction:
     """f(g) -> f(g^{-1}): reflection of both profiles (chi_N is invariant
     under g0 -> g0^{-1})."""
-    k = LogProfile(
-        f.log_profile.spacing, f.log_profile.half_width, f.log_profile.samples[::-1]
-    )
-    psi = SpectralProfile(
-        f.spectral_profile.spacing,
-        f.spectral_profile.half_width,
-        f.spectral_profile.samples[::-1],
-    )
+    k = replace(f.log_profile, samples=f.log_profile.samples[::-1])
+    psi = replace(f.spectral_profile, samples=f.spectral_profile.samples[::-1])
     return IsotypicFunction(f.N, k, psi)
+
+
+def _multiply(
+    f: IsotypicFunction, multiplier: Callable[[int, np.ndarray], np.ndarray]
+) -> IsotypicFunction:
+    """psi -> multiplier(N, tau) * psi, the one path every multiplier
+    operator takes."""
+    m = multiplier(f.N, f.spectral_profile.grid)
+    return f._replace_spectral(m * f.spectral_profile.samples)
 
 
 def gamma_transform(f: IsotypicFunction) -> IsotypicFunction:
     """psi -> gamma_N * psi (unitary: the multiplier is unimodular)."""
-    rotated = apply_multiplier(f.spectral_profile, lambda t: gamma_multiplier(f.N, t))
-    return f._replace_spectral(rotated.samples)
+    return _multiply(f, gamma_multiplier)
 
 
 def gamma_inverse(f: IsotypicFunction) -> IsotypicFunction:
     """psi -> conj(gamma_N) * psi, the inverse of gamma_transform."""
-    rotated = apply_multiplier(
-        f.spectral_profile, lambda t: np.conjugate(gamma_multiplier(f.N, t))
-    )
-    return f._replace_spectral(rotated.samples)
+    return _multiply(f, lambda n, t: np.conjugate(gamma_multiplier(n, t)))
 
 
 def fourier_transform(f: IsotypicFunction) -> IsotypicFunction:
@@ -183,27 +167,19 @@ def fourier_transform(f: IsotypicFunction) -> IsotypicFunction:
 
 def op_A(f: IsotypicFunction) -> IsotypicFunction:
     """A: multiplication of the log-profile by v (spectrally, -i d/dtau)."""
-    k = LogProfile(
-        f.log_profile.spacing,
-        f.log_profile.half_width,
-        f.log_profile.grid * f.log_profile.samples,
-    )
-    psi = to_spectral(
-        k, f.spectral_profile.spacing, f.spectral_profile.half_width
-    )
+    k = replace(f.log_profile, samples=f.log_profile.grid * f.log_profile.samples)
+    psi = to_spectral(k, f.spectral_profile.spacing, f.spectral_profile.half_width)
     return IsotypicFunction(f.N, k, psi)
 
 
 def op_H(f: IsotypicFunction) -> IsotypicFunction:
     """The conductor operator: psi -> h_N * psi."""
-    out = apply_multiplier(f.spectral_profile, lambda t: h_multiplier(f.N, t))
-    return f._replace_spectral(out.samples)
+    return _multiply(f, h_multiplier)
 
 
 def op_K(f: IsotypicFunction) -> IsotypicFunction:
     """The commutator operator i[B, A]: psi -> k_N * psi."""
-    out = apply_multiplier(f.spectral_profile, lambda t: k_multiplier(f.N, t))
-    return f._replace_spectral(out.samples)
+    return _multiply(f, k_multiplier)
 
 
 def op_B(f: IsotypicFunction) -> IsotypicFunction:
@@ -212,17 +188,8 @@ def op_B(f: IsotypicFunction) -> IsotypicFunction:
     The A-part is computed on the K-side (exact), never by numerical
     differentiation of psi.
     """
-    a_psi = to_spectral(
-        LogProfile(
-            f.log_profile.spacing,
-            f.log_profile.half_width,
-            f.log_profile.grid * f.log_profile.samples,
-        ),
-        f.spectral_profile.spacing,
-        f.spectral_profile.half_width,
-    )
     h_psi = h_multiplier(f.N, f.spectral_profile.grid) * f.spectral_profile.samples
-    return f._replace_spectral(h_psi - a_psi.samples)
+    return f._replace_spectral(h_psi - op_A(f).spectral_profile.samples)
 
 
 # ------------------------------------------------------------ additive picture

@@ -5,11 +5,8 @@ Conventions used throughout the package:
 * reduced norm   n(x) = x·conj(x) = x0^2 + x1^2 + x2^2 + x3^2
 * module         |x|  = n(x)^2  (the additive-Haar scaling factor)
 * character      lambda(x) = exp(-4*pi*1j*x0), i.e. e^{-2 pi i (x + conj(x))}
-* polar form     x = r*g0 with r = n(x)^{1/2} and n(g0) = 1
-
-The 2x2 complex matrix representations identify x = a + b*j with
-a = x0 + x1*i, b = x2 + x3*i.  ``left_rep`` is a homomorphism,
-``right_rep`` composes in reversed order (anti-homomorphism).
+* polar form     x = r*g0 with r = n(x)^{1/2} and n(g0) = 1; g0 has class
+                 angle theta with cos(theta) = x0/r
 """
 
 from __future__ import annotations
@@ -17,19 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "Quaternion",
-    "PolarForm",
     "mul",
     "conj",
     "reduced_norm",
     "module",
-    "polar",
     "class_angle",
-    "character_lambda",
-    "matrix_reps",
 ]
 
 
@@ -68,11 +59,6 @@ class Quaternion:
     def coords(self) -> tuple:
         return (self.x0, self.x1, self.x2, self.x3)
 
-    @property
-    def complex_pair(self) -> tuple:
-        """(a, b) with x = a + b*j, a = x0 + x1*i, b = x2 + x3*i."""
-        return (complex(self.x0, self.x1), complex(self.x2, self.x3))
-
 
 ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
@@ -106,26 +92,6 @@ def module(q: Quaternion) -> float:
     return n * n
 
 
-@dataclass(frozen=True)
-class PolarForm:
-    """Decomposition q = r * unit with r > 0 and n(unit) = 1."""
-
-    r: float
-    unit: Quaternion
-
-
-def polar(q: Quaternion) -> PolarForm:
-    """Polar decomposition; r = n(q)^{1/2} = |q|^{1/4}.
-
-    Raises ValueError for the zero quaternion (no polar form; nothing in
-    the analysis evaluates at 0 in the multiplicative picture).
-    """
-    r = math.sqrt(reduced_norm(q))
-    if r == 0.0:
-        raise ValueError("polar form of the zero quaternion is undefined")
-    return PolarForm(r, q.scale(1.0 / r))
-
-
 def class_angle(q: Quaternion) -> float:
     """Class angle theta in [0, pi] of the unit part of q: cos(theta) = x0/r.
 
@@ -136,25 +102,3 @@ def class_angle(q: Quaternion) -> float:
         raise ValueError("class angle of the zero quaternion is undefined")
     c = q.x0 / r
     return math.acos(min(1.0, max(-1.0, c)))
-
-
-def character_lambda(q: Quaternion) -> complex:
-    """Additive character lambda(q) = e^{-2 pi i (q + conj(q))} = e^{-4 pi i q0}.
-
-    Unimodular; satisfies lambda(xy) = lambda(yx) because x*y and y*x share
-    the same scalar part.
-    """
-    ph = -4.0 * math.pi * q.x0
-    return complex(math.cos(ph), math.sin(ph))
-
-
-def matrix_reps(q: Quaternion) -> tuple:
-    """(L_q, R_q): 2x2 complex matrices with det = n(q).
-
-    L_q = [[a, b], [-conj(b), conj(a)]] satisfies L_{pq} = L_p @ L_q;
-    R_q = [[a, -conj(b)], [b, conj(a)]] satisfies R_{pq} = R_q @ R_p.
-    """
-    a, b = q.complex_pair
-    left = np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
-    right = np.array([[a, -b.conjugate()], [b, a.conjugate()]], dtype=complex)
-    return left, right

@@ -22,7 +22,6 @@ arrays in their continuous argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Union
 
 import numpy as np
@@ -41,8 +40,6 @@ __all__ = [
     "h_multiplier",
     "k_multiplier",
     "gamma0_expansion",
-    "SpectralFunctionTable",
-    "spectral_table",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -273,31 +270,3 @@ def gamma0_expansion(
             [(ys[j] - ys[j + 1]) / (eps[j] - eps[j + k + 1]) for j in range(m - 1)]
         )
     return coeffs
-
-
-# ------------------------------------------------------------------ table type
-
-
-@dataclass(frozen=True)
-class SpectralFunctionTable:
-    """gamma_N, h_N, k_N sampled on a uniform symmetric tau-grid."""
-
-    N: int
-    tau: np.ndarray
-    gamma: np.ndarray
-    h: np.ndarray
-    k: np.ndarray
-
-
-def spectral_table(
-    N: int, spacing: float = 0.01, half_width: float = 50.0
-) -> SpectralFunctionTable:
-    m = int(round(half_width / spacing))
-    tau = spacing * np.arange(-m, m + 1)
-    return SpectralFunctionTable(
-        N=N,
-        tau=tau,
-        gamma=gamma_multiplier(N, tau),
-        h=h_multiplier(N, tau),
-        k=k_multiplier(N, tau),
-    )

@@ -1,7 +1,8 @@
-"""The 1D spectral line: log-profiles, spectral profiles, and transforms.
+"""The 1D spectral line: uniformly sampled profiles and their transforms.
 
 A radial test function is carried as K(v) on a uniform grid in v = log u
-(u the module); its spectral profile is
+(u the module); its spectral profile psi(tau) is sampled the same way, so
+one Profile type holds either side.  The pair is
 
     psi(tau) = int K(v) e^{i tau v} dv,      K(v) = (1/2pi) int psi(tau) e^{-i tau v} dtau.
 
@@ -21,8 +22,8 @@ crossing below it.
 
 Transforms are computed by the chirp-z fast path; the quadrature value
 (trapezoid-on-uniform-grid, which for these decayed profiles is the plain
-Riemann sum) is the contract, and the direct-summation reference
-implementations below are cross-checked against the fast path in tests.
+Riemann sum) is the contract, and tests check the fast path against
+direct summation.
 
 Off the grid, K(v) = (spacing_tau / 2 pi) sum_k psi_k e^{-i tau_k v} is a
 type-2 nonuniform FFT in x = spacing_tau * v (mod 2 pi).  profile_value
@@ -48,11 +49,9 @@ from scipy.fft import fft, ifft, next_fast_len
 from ._errors import AliasingError, DecayError
 
 __all__ = [
-    "LogProfile",
-    "SpectralProfile",
+    "Profile",
     "to_spectral",
     "from_spectral",
-    "apply_multiplier",
     "evaluate_at_one",
     "profile_value",
     "DEFAULT_LOG_SPACING",
@@ -84,8 +83,8 @@ def _uniform_grid(spacing: float, half_width: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LogProfile:
-    """Samples of K(v) on the uniform grid v = spacing * (-m .. m)."""
+class Profile:
+    """Samples of K(v) or psi(tau) on the uniform grid spacing * (-m .. m)."""
 
     spacing: float
     half_width: float
@@ -105,50 +104,13 @@ class LogProfile:
 
     @classmethod
     def from_function(
-        cls,
-        fn: Callable[[np.ndarray], np.ndarray],
-        spacing: float = DEFAULT_LOG_SPACING,
-        half_width: float = DEFAULT_LOG_HALF_WIDTH,
-    ) -> "LogProfile":
-        v = _uniform_grid(spacing, half_width)
-        return cls(spacing, half_width, np.asarray(fn(v)) + np.zeros_like(v))
-
-    def boundary_magnitude(self) -> float:
-        return float(max(abs(self.samples[0]), abs(self.samples[-1])))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralProfile:
-    """Samples of psi(tau) on the uniform grid tau = spacing * (-m .. m)."""
-
-    spacing: float
-    half_width: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        n = int(round(2.0 * self.half_width / self.spacing)) + 1
-        if len(self.samples) != n:
-            raise ValueError(
-                f"expected {n} samples for spacing {self.spacing}, "
-                f"half-width {self.half_width}; got {len(self.samples)}"
-            )
-
-    @property
-    def grid(self) -> np.ndarray:
-        return _uniform_grid(self.spacing, self.half_width)
-
-    @classmethod
-    def from_function(
-        cls,
-        fn: Callable[[np.ndarray], np.ndarray],
-        spacing: float = DEFAULT_SPECTRAL_SPACING,
-        half_width: float = DEFAULT_SPECTRAL_HALF_WIDTH,
-    ) -> "SpectralProfile":
-        tau = _uniform_grid(spacing, half_width)
-        return cls(spacing, half_width, np.asarray(fn(tau), dtype=complex))
-
-    def boundary_magnitude(self) -> float:
-        return float(max(abs(self.samples[0]), abs(self.samples[-1])))
+        cls, fn: Callable[[np.ndarray], np.ndarray], spacing: float, half_width: float
+    ) -> "Profile":
+        """Sample fn on the grid; a scalar result is broadcast, and the
+        samples keep fn's dtype."""
+        x = _uniform_grid(spacing, half_width)
+        vals = np.asarray(fn(x))
+        return cls(spacing, half_width, vals + np.zeros_like(x, dtype=vals.dtype))
 
 
 # ----------------------------------------------------------------- guards
@@ -199,11 +161,11 @@ def _unit_chirp_sum(x: np.ndarray, n_out: int, angle: float) -> np.ndarray:
 
 
 def to_spectral(
-    profile: LogProfile,
+    profile: Profile,
     spacing: float = DEFAULT_SPECTRAL_SPACING,
     half_width: float = DEFAULT_SPECTRAL_HALF_WIDTH,
     decay_guard: float = DEFAULT_DECAY_GUARD,
-) -> SpectralProfile:
+) -> Profile:
     """psi(tau_k) = spacing_v * sum_m K(v_m) e^{i tau_k v_m} on the
     requested tau-grid (chirp-z evaluation, exact to rounding)."""
     _check_decay(profile.samples, decay_guard, "log profile")
@@ -216,15 +178,15 @@ def to_spectral(
     phase = np.exp(1j * half_width * v_half) * np.exp(
         -1j * spacing * np.arange(n_out) * v_half
     )
-    return SpectralProfile(spacing, half_width, dv * phase * vals)
+    return Profile(spacing, half_width, dv * phase * vals)
 
 
 def from_spectral(
-    psi: SpectralProfile,
+    psi: Profile,
     spacing: float = DEFAULT_LOG_SPACING,
     half_width: float = DEFAULT_LOG_HALF_WIDTH,
     decay_guard: float = DEFAULT_DECAY_GUARD,
-) -> LogProfile:
+) -> Profile:
     """K(v_m) = (spacing_tau / 2 pi) * sum_k psi(tau_k) e^{-i tau_k v_m}."""
     _check_decay(psi.samples, decay_guard, "spectral profile")
     _check_reciprocity(spacing, half_width, psi.spacing, psi.half_width)
@@ -236,30 +198,20 @@ def from_spectral(
     phase = np.exp(-1j * tau_half * half_width) * np.exp(
         1j * spacing * np.arange(n_out) * tau_half
     )
-    return LogProfile(spacing, half_width, (dtau / (2.0 * np.pi)) * phase * vals)
+    return Profile(spacing, half_width, (dtau / (2.0 * np.pi)) * phase * vals)
 
 
-# ------------------------------------------------- multipliers and evaluation
+# -------------------------------------------------------------- evaluation
 
 
-def apply_multiplier(
-    psi: SpectralProfile, multiplier: Callable[[np.ndarray], np.ndarray]
-) -> SpectralProfile:
-    """Pointwise product m(tau) * psi(tau) on psi's grid."""
-    m = np.asarray(multiplier(psi.grid), dtype=complex)
-    if m.shape != psi.samples.shape:
-        m = np.broadcast_to(m, psi.samples.shape)
-    return SpectralProfile(psi.spacing, psi.half_width, m * psi.samples)
-
-
-def evaluate_at_one(psi: SpectralProfile) -> complex:
+def evaluate_at_one(psi: Profile) -> complex:
     """Value of the underlying function at the identity:
     K(0) = (1/2pi) int psi(tau) dtau."""
     return complex(psi.spacing / (2.0 * np.pi) * np.sum(psi.samples))
 
 
 def profile_value(
-    psi: SpectralProfile, v: Union[float, np.ndarray]
+    psi: Profile, v: Union[float, np.ndarray]
 ) -> Union[complex, np.ndarray]:
     """K(v) = (spacing / 2 pi) sum_k psi_k e^{-i tau_k v} at arbitrary v
     (trigonometric interpolation off the grid; periodic in v with period
@@ -268,9 +220,12 @@ def profile_value(
     Evaluated as a type-2 NUFFT by Gaussian gridding with the fixed
     oversampling _NUFFT_OVERSAMPLING and spread half-width
     _NUFFT_HALF_WIDTH (see the module docstring for the error it meets).
-    A scalar v gives a complex, an array v an array of its shape.
+    A scalar v gives a complex, an array v an array of its shape; a
+    non-finite v raises ValueError.
     """
     v_arr = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v_arr)):
+        raise ValueError("profile_value needs finite v")
     m = len(psi.samples) // 2
     n = next_fast_len(_NUFFT_OVERSAMPLING * len(psi.samples))
     w = _NUFFT_HALF_WIDTH
@@ -286,7 +241,8 @@ def profile_value(
     t = v_arr.ravel() * (psi.spacing * n / (2.0 * np.pi))
     base = np.floor(t)
     frac = t - base
-    base = base.astype(np.int64)
+    # one reduction into [0, n): take(mode="wrap") then only wraps by w
+    base = np.mod(base, n).astype(np.int64)
     out = np.zeros(t.shape, dtype=complex)
     for offset in range(1 - w, w + 1):
         weight = np.exp(-(0.75 * np.pi / w) * (frac - offset) ** 2)
@@ -294,34 +250,3 @@ def profile_value(
     if v_arr.ndim == 0:
         return complex(out[0])
     return out.reshape(v_arr.shape)
-
-
-# --------------------------------------------------- direct-sum references
-
-
-def _to_spectral_direct(
-    profile: LogProfile, spacing: float, half_width: float, chunk: int = 512
-) -> SpectralProfile:
-    """Reference implementation of to_spectral by chunked direct summation."""
-    tau = _uniform_grid(spacing, half_width)
-    v = profile.grid
-    out = np.empty(len(tau), dtype=complex)
-    for lo in range(0, len(tau), chunk):
-        out[lo : lo + chunk] = np.exp(1j * np.outer(tau[lo : lo + chunk], v)) @ (
-            profile.samples
-        )
-    return SpectralProfile(spacing, half_width, profile.spacing * out)
-
-
-def _from_spectral_direct(
-    psi: SpectralProfile, spacing: float, half_width: float, chunk: int = 512
-) -> LogProfile:
-    """Reference implementation of from_spectral by chunked direct summation."""
-    v = _uniform_grid(spacing, half_width)
-    tau = psi.grid
-    out = np.empty(len(v), dtype=complex)
-    for lo in range(0, len(v), chunk):
-        out[lo : lo + chunk] = np.exp(-1j * np.outer(v[lo : lo + chunk], tau)) @ (
-            psi.samples
-        )
-    return LogProfile(spacing, half_width, psi.spacing / (2.0 * np.pi) * out)

@@ -25,11 +25,8 @@ from typing import Union
 import numpy as np
 from scipy.special import jv
 
-from .quat_core import Quaternion, reduced_norm
-
 __all__ = [
     "character",
-    "monomial",
     "AngularQuadrature",
     "angular_quadrature",
     "angular_bessel",
@@ -57,21 +54,6 @@ def character(N: int, theta: ArrayLike) -> ArrayLike:
     return u
 
 
-def monomial(N: int, j: int, g0: Quaternion) -> complex:
-    """Monomial basis element a^j * b^(N-j) of the degree-N sector,
-    where g0 = a + b*j in complex coordinates.
-
-    Only used by brute-force oracle checks; operators act on class
-    functions.
-    """
-    if not 0 <= j <= N:
-        raise ValueError(f"need 0 <= j <= N, got j={j}, N={N}")
-    if abs(reduced_norm(g0) - 1.0) > 1e-10:
-        raise ValueError("monomial requires a unit quaternion")
-    a, b = g0.complex_pair
-    return a**j * b ** (N - j)
-
-
 # ------------------------------------------------------------ class quadrature
 
 
@@ -89,10 +71,6 @@ class AngularQuadrature:
 
     def integrate(self, values: np.ndarray) -> complex:
         return np.tensordot(values, self.weights, axes=(values.ndim - 1, 0))
-
-    def inner(self, f_values: np.ndarray, g_values: np.ndarray) -> complex:
-        """<f, g> = int f * conj(g) d*g0 under this quadrature."""
-        return self.integrate(f_values * np.conjugate(g_values))
 
 
 def angular_quadrature(n_nodes: int = 64) -> AngularQuadrature:

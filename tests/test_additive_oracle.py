@@ -21,12 +21,10 @@ from quatgamma.additive_oracle import (
     G_CONSTANT,
     Grid4D,
     GridFunction,
-    HomogeneousDistribution,
     brute_fourier,
     delta_s,
     distribution_G,
     functional_equation_residual,
-    gaussian_grid_function,
     gaussian_moment,
     gaussian_moment_quadrature,
     homogeneity_check,
@@ -183,7 +181,10 @@ def test_brute_zero_function(box):
 def test_brute_scaling_oracle(box):
     t = 1.3
     probes = seeded_probes(5, 0.2, 1.0, seed=23)
-    got = brute_fourier(gaussian_grid_function(box, t), probes)
+    scaled = GridFunction.from_function(
+        box, lambda pts: np.exp(-2.0 * np.pi * t * np.sum(pts * pts, axis=1))
+    )
+    got = brute_fourier(scaled, probes)
     n = np.sum(np.array([p.coords for p in probes]) ** 2, axis=1)
     want = np.exp(-2.0 * np.pi * n / t) / t**2
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
@@ -316,10 +317,6 @@ def test_delta_s_domain_validation():
     for bad in (0.0, -0.3, -0.25 + 1.0j):
         with pytest.raises(ValueError):
             delta_s(bad, omega_exact)
-        with pytest.raises(ValueError):
-            HomogeneousDistribution(bad)
-    d = HomogeneousDistribution(0.4 + 0.2j)
-    assert d(omega_exact) == delta_s(0.4 + 0.2j, omega_exact)
 
 
 def test_delta_s_analytic_in_s():

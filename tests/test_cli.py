@@ -154,9 +154,59 @@ def test_oversized_grids_refused_before_allocation(tmp_path):
     assert main(["functional-eq", "--s-grid", "100000x100000", "--out", out]) == 2
     overflow = ["--tau-min=-1e308", "--tau-max=1e308", "--tau-step=1e-3"]
     assert main(["spectral-scan"] + overflow + ["--out", out]) == 2
-    nan_step = ["--tau-min", "0", "--tau-max", "1", "--tau-step", "nan"]
-    assert main(["spectral-scan"] + nan_step + ["--out", out]) == 2
+    # a nan step is refused by argparse: test_non_finite_float_flags_refused
     assert not (tmp_path / "x.csv").exists()
+
+
+TAU_0_1 = ["--tau-min", "0", "--tau-max", "1", "--tau-step", "0.5"]
+FLOAT_FLAGS = [
+    ("gamma-table", TAU_0_1, "--tau-min"),
+    ("gamma-table", TAU_0_1, "--tau-max"),
+    ("gamma-table", TAU_0_1, "--tau-step"),
+    ("spectral-scan", TAU_0_1, "--tau-step"),
+    ("oracle-check", [], "--grid-l"),
+    ("trace-sweep", ["--lambda-list", "2,4"], "--profile-width"),
+    ("trace-sweep", ["--lambda-list", "2,4"], "--profile-scale"),
+    ("trace-sweep", ["--lambda-list", "2,4"], "--tol"),
+    ("g-constant", [], "--tol"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,base,flag", FLOAT_FLAGS)
+def test_non_finite_float_flags_refused(command, base, flag, value, tmp_path, capsys):
+    # every float flag refuses a non-finite value while parsing: exit 2,
+    # nothing written, nothing computed
+    out = tmp_path / "x.csv"
+    argv = [command] + base + [f"{flag}={value}"]
+    if command in ("gamma-table", "spectral-scan", "trace-sweep"):
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_float_flag_refused_before_numpy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys\n"
+        "from quatgamma.cli import main\n"
+        "try:\n"
+        "    main(['trace-sweep', '--tol', 'nan', '--out', 'never.csv'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.split() == ["2", "False"], proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_row_cap_counts_sectors_times_points(tmp_path):

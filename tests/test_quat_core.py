@@ -1,4 +1,7 @@
-"""Arithmetic, norm, polar and matrix-representation checks for quat_core."""
+"""Arithmetic, norm, polar and matrix-representation checks for quat_core.
+
+The 2x2 complex matrix representations (_matrix_reps) are an independent
+model of the quaternion product, used here as its oracle."""
 
 from __future__ import annotations
 
@@ -7,17 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from quatgamma.quat_core import (
-    Quaternion,
-    character_lambda,
-    class_angle,
-    conj,
-    matrix_reps,
-    module,
-    mul,
-    polar,
-    reduced_norm,
-)
+from quatgamma.additive_oracle import Grid4D, GridFunction, brute_fourier
+from quatgamma.quat_core import Quaternion, class_angle, conj, module, mul, reduced_norm
 
 
 def rand_quat(rng, scale: float = 2.0) -> Quaternion:
@@ -26,6 +20,17 @@ def rand_quat(rng, scale: float = 2.0) -> Quaternion:
 
 def dist(p: Quaternion, q: Quaternion) -> float:
     return max(abs(a - b) for a, b in zip(p.coords, q.coords))
+
+
+def _matrix_reps(q: Quaternion) -> tuple:
+    """(L_q, R_q) for q = a + b*j, a = x0 + x1*i, b = x2 + x3*i:
+    L_q = [[a, b], [-conj(b), conj(a)]] should satisfy L_{pq} = L_p @ L_q,
+    R_q = [[a, -conj(b)], [b, conj(a)]] should satisfy R_{pq} = R_q @ R_p,
+    and both should have det = n(q)."""
+    a, b = complex(q.x0, q.x1), complex(q.x2, q.x3)
+    left = np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
+    right = np.array([[a, -b.conjugate()], [b, a.conjugate()]], dtype=complex)
+    return left, right
 
 
 # ---------------------------------------------------------------- basic table
@@ -103,21 +108,23 @@ def test_norm_is_q_times_conj():
 
 
 def test_polar_roundtrip_and_module_power():
+    # q = r * g0 with r = n(q)^{1/2}: the unit part has norm 1, the class
+    # angle is that of g0, and the module is |q| = r^4
     rng = np.random.default_rng(17)
     for _ in range(200):
         q = rand_quat(rng)
         if reduced_norm(q) < 1e-12:
             continue
-        pf = polar(q)
-        assert abs(reduced_norm(pf.unit) - 1.0) <= 1e-12
-        assert dist(pf.unit.scale(pf.r), q) <= 1e-12 * max(1.0, pf.r)
-        # |q| = r^4
-        assert abs(module(q) - pf.r**4) <= 1e-11 * max(1.0, pf.r**4)
+        r = math.sqrt(reduced_norm(q))
+        unit = q.scale(1.0 / r)
+        assert abs(reduced_norm(unit) - 1.0) <= 1e-12
+        assert dist(unit.scale(r), q) <= 1e-12 * max(1.0, r)
+        assert abs(class_angle(unit) - class_angle(q)) <= 1e-12
+        assert abs(module(q) - r**4) <= 1e-11 * max(1.0, r**4)
 
 
 def test_polar_zero_raises():
-    with pytest.raises(ValueError):
-        polar(Quaternion(0.0))
+    # the zero quaternion has no polar form, hence no class angle
     with pytest.raises(ValueError):
         class_angle(Quaternion(0.0))
 
@@ -141,11 +148,26 @@ def test_class_angle_values_and_invariance():
 # ----------------------------------------------------------------- character
 
 
+def _character(q: Quaternion) -> complex:
+    """lambda(q) = e^{-4 pi i q0}, the additive character."""
+    return complex(np.exp(-4j * np.pi * q.x0))
+
+
 def test_character_values():
-    # lambda(x) = e^{-4 pi i x0}: at x0 = 1/4 the phase is -pi
-    assert abs(character_lambda(Quaternion(0.25)) - (-1.0)) <= 1e-15
-    assert abs(character_lambda(Quaternion(0.5)) - 1.0) <= 1e-14
-    assert character_lambda(Quaternion(0.0, 3.0, -2.0, 1.0)) == 1.0
+    # brute_fourier's kernel is conj lambda(x y): a unit mass at the grid
+    # node x transforms to 4 h^4 e^{4 pi i Re(x y)} at every probe y
+    box = Grid4D(1.5, 7)  # spacing 1/2, nodes at -3/2 .. 3/2
+    node = (4, 2, 5, 3)  # x = (1/2, -1/2, 1, 0), off the boundary
+    x = Quaternion(*(box.axis()[i] for i in node))
+    values = np.zeros((7, 7, 7, 7), dtype=complex)
+    values[node] = 1.0
+    rng = np.random.default_rng(23)
+    probes = [Quaternion(*rng.uniform(-1.0, 1.0, 4)) for _ in range(5)]
+    probes.append(Quaternion(0.5))  # Re(x y) = 1/4: the kernel is -1
+    got = brute_fourier(GridFunction(box, values), probes)
+    want = [4.0 * box.spacing**4 * _character(mul(x, y)).conjugate() for y in probes]
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert abs(got[-1] + 4.0 * box.spacing**4) <= 1e-15
 
 
 def test_character_trace_property():
@@ -153,7 +175,8 @@ def test_character_trace_property():
     rng = np.random.default_rng(23)
     for _ in range(100):
         p, q = rand_quat(rng, scale=0.5), rand_quat(rng, scale=0.5)
-        assert abs(character_lambda(mul(p, q)) - character_lambda(mul(q, p))) <= 1e-13
+        assert abs(mul(p, q).x0 - mul(q, p).x0) <= 1e-15
+        assert abs(_character(mul(p, q)) - _character(mul(q, p))) <= 1e-13
 
 
 # ------------------------------------------------------ matrix representations
@@ -163,7 +186,7 @@ def test_matrix_reps_identity_and_det():
     rng = np.random.default_rng(29)
     for _ in range(100):
         q = rand_quat(rng)
-        left, right = matrix_reps(q)
+        left, right = _matrix_reps(q)
         n = reduced_norm(q)
         assert abs(np.linalg.det(left) - n) <= 1e-12 * max(1.0, n)
         assert abs(np.linalg.det(right) - n) <= 1e-12 * max(1.0, n)
@@ -176,8 +199,8 @@ def test_left_rep_homomorphism_right_rep_antihomomorphism():
     rng = np.random.default_rng(31)
     for _ in range(200):
         p, q = rand_quat(rng), rand_quat(rng)
-        lp, rp = matrix_reps(p)
-        lq, rq = matrix_reps(q)
-        lpq, rpq = matrix_reps(mul(p, q))
+        lp, rp = _matrix_reps(p)
+        lq, rq = _matrix_reps(q)
+        lpq, rpq = _matrix_reps(mul(p, q))
         assert np.max(np.abs(lpq - lp @ lq)) <= 1e-12
         assert np.max(np.abs(rpq - rq @ rp)) <= 1e-12

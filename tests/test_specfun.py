@@ -26,7 +26,6 @@ from quatgamma.specfun import (
     h_multiplier,
     k_multiplier,
     log_gamma,
-    spectral_table,
     trigamma,
 )
 
@@ -313,13 +312,15 @@ def test_gamma0_expansion_guards():
         gamma0_expansion(2, tol=1e-14)
 
 
-# ----------------------------------------------------------------- table type
+# ------------------------------------------------------ multiplier symmetries
 
 
 def test_spectral_table_invariants():
-    t = spectral_table(3, spacing=0.05, half_width=10.0)
-    assert t.tau.shape == t.gamma.shape == t.h.shape == t.k.shape
-    assert abs(t.tau[0] + 10.0) <= 1e-12 and abs(t.tau[-1] - 10.0) <= 1e-12
-    assert np.max(np.abs(np.abs(t.gamma) - 1.0)) <= 1e-10
-    assert np.max(np.abs(t.h - t.h[::-1])) <= 1e-10  # even
-    assert np.max(np.abs(t.k + t.k[::-1])) <= 1e-10  # odd
+    # the three line multipliers on one symmetric tau-grid: gamma_N
+    # unimodular, h_N even, k_N odd, each keeping the grid's shape
+    tau = 0.05 * np.arange(-200, 201)
+    gamma, h, k = (fn(3, tau) for fn in (gamma_multiplier, h_multiplier, k_multiplier))
+    assert tau.shape == gamma.shape == h.shape == k.shape
+    assert np.max(np.abs(np.abs(gamma) - 1.0)) <= 1e-10
+    assert np.max(np.abs(h - h[::-1])) <= 1e-10  # even
+    assert np.max(np.abs(k + k[::-1])) <= 1e-10  # odd

@@ -2,7 +2,8 @@
 
 The Gaussian pair K(v) = e^{-v^2/2} <-> psi(tau) = sqrt(2 pi) e^{-tau^2/2}
 is the closed-form anchor; the fast chirp-z path and the NUFFT behind
-profile_value are cross-checked against direct summation.
+profile_value are cross-checked against direct summation
+(_to_spectral_direct, _from_spectral_direct, _profile_value_direct).
 """
 
 from __future__ import annotations
@@ -14,20 +15,58 @@ from quatgamma import AliasingError, DecayError
 from quatgamma.gamma_op import gamma_transform, gaussian_isotypic, op_B, op_H
 from quatgamma.specfun import gamma_multiplier
 from quatgamma.spectral_line import (
-    LogProfile,
-    SpectralProfile,
-    _from_spectral_direct,
-    _to_spectral_direct,
-    apply_multiplier,
+    DEFAULT_LOG_HALF_WIDTH,
+    DEFAULT_LOG_SPACING,
+    DEFAULT_SPECTRAL_HALF_WIDTH,
+    DEFAULT_SPECTRAL_SPACING,
+    Profile,
     evaluate_at_one,
     from_spectral,
     profile_value,
     to_spectral,
 )
 
+LOG_GRID = (DEFAULT_LOG_SPACING, DEFAULT_LOG_HALF_WIDTH)
+TAU_GRID = (DEFAULT_SPECTRAL_SPACING, DEFAULT_SPECTRAL_HALF_WIDTH)
+
+
+def _grid(spacing: float, half_width: float) -> np.ndarray:
+    m = int(round(half_width / spacing))
+    return spacing * np.arange(-m, m + 1)
+
+
+def _to_spectral_direct(
+    profile: Profile, spacing: float, half_width: float, chunk: int = 512
+) -> Profile:
+    """Reference for to_spectral: the chunked direct sum
+    spacing_v * sum_m K(v_m) e^{i tau_k v_m}."""
+    tau = _grid(spacing, half_width)
+    v = profile.grid
+    out = np.empty(len(tau), dtype=complex)
+    for lo in range(0, len(tau), chunk):
+        out[lo : lo + chunk] = np.exp(1j * np.outer(tau[lo : lo + chunk], v)) @ (
+            profile.samples
+        )
+    return Profile(spacing, half_width, profile.spacing * out)
+
+
+def _from_spectral_direct(
+    psi: Profile, spacing: float, half_width: float, chunk: int = 512
+) -> Profile:
+    """Reference for from_spectral: the chunked direct sum
+    (spacing_tau / 2 pi) sum_k psi(tau_k) e^{-i tau_k v_m}."""
+    v = _grid(spacing, half_width)
+    tau = psi.grid
+    out = np.empty(len(v), dtype=complex)
+    for lo in range(0, len(v), chunk):
+        out[lo : lo + chunk] = np.exp(-1j * np.outer(v[lo : lo + chunk], tau)) @ (
+            psi.samples
+        )
+    return Profile(spacing, half_width, psi.spacing / (2.0 * np.pi) * out)
+
 
 def _profile_value_direct(
-    psi: SpectralProfile, v: np.ndarray, chunk: int = 256
+    psi: Profile, v: np.ndarray, chunk: int = 256
 ) -> np.ndarray:
     """Reference for profile_value: the dense off-grid spectral sum."""
     tau = psi.grid
@@ -39,13 +78,13 @@ def _profile_value_direct(
     return psi.spacing / (2.0 * np.pi) * out
 
 
-def gaussian_log_profile(center: float = 0.0, width: float = 1.0) -> LogProfile:
-    return LogProfile.from_function(
-        lambda v: np.exp(-0.5 * ((v - center) / width) ** 2)
+def gaussian_log_profile(center: float = 0.0, width: float = 1.0) -> Profile:
+    return Profile.from_function(
+        lambda v: np.exp(-0.5 * ((v - center) / width) ** 2), *LOG_GRID
     )
 
 
-def random_bump_profile(seed: int) -> LogProfile:
+def random_bump_profile(seed: int) -> Profile:
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-2.0, 2.0, 3)
     widths = rng.uniform(0.7, 1.5, 3)
@@ -57,7 +96,7 @@ def random_bump_profile(seed: int) -> LogProfile:
             for a, c, w in zip(amps, centers, widths)
         )
 
-    return LogProfile.from_function(fn)
+    return Profile.from_function(fn, *LOG_GRID)
 
 
 # ------------------------------------------------------------- Gaussian pair
@@ -70,8 +109,8 @@ def test_gaussian_pair_forward():
 
 
 def test_gaussian_pair_inverse():
-    psi = SpectralProfile.from_function(
-        lambda t: np.sqrt(2.0 * np.pi) * np.exp(-0.5 * t**2)
+    psi = Profile.from_function(
+        lambda t: np.sqrt(2.0 * np.pi) * np.exp(-0.5 * t**2), *TAU_GRID
     )
     k = from_spectral(psi)
     ref = np.exp(-0.5 * k.grid**2)
@@ -79,11 +118,15 @@ def test_gaussian_pair_inverse():
 
 
 def test_zero_profiles():
-    zero_k = LogProfile.from_function(lambda v: np.zeros_like(v))
-    assert np.all(to_spectral(zero_k).samples == 0)
-    zero_psi = SpectralProfile.from_function(lambda t: np.zeros_like(t))
-    assert np.all(from_spectral(zero_psi).samples == 0)
-    assert evaluate_at_one(zero_psi) == 0
+    # an array-valued and a scalar-valued fn, broadcast onto either grid
+    for zero in (np.zeros_like, lambda x: 0.0):
+        zero_k = Profile.from_function(zero, *LOG_GRID)
+        assert zero_k.samples.shape == zero_k.grid.shape
+        assert np.all(to_spectral(zero_k).samples == 0)
+        zero_psi = Profile.from_function(zero, *TAU_GRID)
+        assert zero_psi.samples.shape == zero_psi.grid.shape
+        assert np.all(from_spectral(zero_psi).samples == 0)
+        assert evaluate_at_one(zero_psi) == 0
 
 
 def test_shift_theorem():
@@ -118,18 +161,10 @@ def test_fast_path_matches_direct_sum():
 # ---------------------------------------------------------------- multipliers
 
 
-def test_apply_multiplier_identity_and_composition():
-    psi = to_spectral(gaussian_log_profile())
-    same = apply_multiplier(psi, lambda t: np.ones_like(t))
-    assert np.max(np.abs(same.samples - psi.samples)) == 0.0
-    twice = apply_multiplier(apply_multiplier(psi, lambda t: t), lambda t: t)
-    once = apply_multiplier(psi, lambda t: t**2)
-    assert np.max(np.abs(twice.samples - once.samples)) <= 1e-14
-
-
 def test_unimodular_multiplier_preserves_modulus():
-    psi = to_spectral(gaussian_log_profile())
-    rotated = apply_multiplier(psi, lambda t: gamma_multiplier(0, t))
+    f = gaussian_isotypic(0)
+    rotated = gamma_transform(f).spectral_profile
+    psi = f.spectral_profile
     assert np.max(np.abs(np.abs(rotated.samples) - np.abs(psi.samples))) <= 1e-13
 
 
@@ -152,8 +187,8 @@ def test_evaluate_matches_inverse_at_zero():
 def test_evaluate_grid_halving_stability():
     k = gaussian_log_profile()
     v1 = evaluate_at_one(to_spectral(k))
-    fine = LogProfile.from_function(
-        lambda v: np.exp(-0.5 * v**2), spacing=k.spacing / 2.0
+    fine = Profile.from_function(
+        lambda v: np.exp(-0.5 * v**2), k.spacing / 2.0, k.half_width
     )
     v2 = evaluate_at_one(to_spectral(fine, spacing=1.0 / 128.0))
     assert abs(v1 - v2) <= 1e-10
@@ -200,7 +235,7 @@ def test_profile_value_on_unimodular_psi(N):
     # profile_value; gamma_N has |gamma_N| = 1 and never decays, so the
     # error is bounded by the scale sum_k |psi_k| dtau / 2pi, not the peak;
     # measured 1.2e-14 x scale
-    psi = SpectralProfile.from_function(lambda tau: gamma_multiplier(N, tau))
+    psi = Profile.from_function(lambda tau: gamma_multiplier(N, tau), *TAU_GRID)
     v = np.random.default_rng(77 + N).uniform(-64.0, 0.0, 2000)
     scale = np.sum(np.abs(psi.samples)) * psi.spacing / (2.0 * np.pi)
     fast = profile_value(psi, v)
@@ -223,6 +258,30 @@ def test_profile_value_scalar_empty_and_shape():
     assert np.array_equal(profile_value(psi, block), flat.reshape(20, 30))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_profile_value_refuses_non_finite(bad):
+    psi = gaussian_isotypic(0).spectral_profile
+    with pytest.raises(ValueError, match="finite"):
+        profile_value(psi, bad)
+    with pytest.raises(ValueError, match="finite"):
+        profile_value(psi, np.array([0.5, bad]))
+
+
+def test_profile_value_far_off_window_is_periodic():
+    # K is 2 pi / spacing periodic; at v = 1e9 the NUFFT must reduce the
+    # index once, and promptly, and agree with the value one whole number
+    # of periods closer to 0.  The two arguments differ from exact
+    # periodicity by a few roundings of v (ulp 1.2e-7); |dK/dv| <= 0.65 for
+    # this profile, so 8 ulp bounds the difference (measured 5.0e-9).
+    g = gamma_transform(gaussian_isotypic(1))
+    psi = g.spectral_profile
+    period = 2.0 * np.pi / psi.spacing
+    v = 1e9
+    near = v - np.round(v / period) * period
+    bound = 8.0 * np.spacing(v) + 1e-12 * np.max(np.abs(g.log_profile.samples))
+    assert abs(profile_value(psi, v) - profile_value(psi, near)) <= bound
+
+
 # ------------------------------------------------------------------ invariants
 
 
@@ -239,7 +298,7 @@ def test_v_multiplication_is_spectral_derivative():
     # to_spectral(v*K) = (1/i) d psi / d tau, checked by central differences
     # of psi evaluated off-grid (step small enough for the 1e-6 target)
     k = gaussian_log_profile()
-    v_k = LogProfile(k.spacing, k.half_width, k.grid * k.samples)
+    v_k = Profile(k.spacing, k.half_width, k.grid * k.samples)
     lhs = to_spectral(v_k)
     delta = 5e-4
     taus = lhs.grid[::64]
@@ -264,14 +323,14 @@ def test_aliasing_guard():
 
 
 def test_decay_guard():
-    flat = LogProfile.from_function(lambda v: np.ones_like(v))
+    flat = Profile.from_function(np.ones_like, *LOG_GRID)
     with pytest.raises(DecayError):
         to_spectral(flat)
-    wide = SpectralProfile.from_function(lambda t: np.exp(-0.5 * (t / 40.0) ** 2))
+    wide = Profile.from_function(lambda t: np.exp(-0.5 * (t / 40.0) ** 2), *TAU_GRID)
     with pytest.raises(DecayError):
         from_spectral(wide)
 
 
 def test_profile_length_validation():
     with pytest.raises(ValueError):
-        LogProfile(1.0 / 64.0, 16.0, np.zeros(100))
+        Profile(1.0 / 64.0, 16.0, np.zeros(100))

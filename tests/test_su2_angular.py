@@ -6,18 +6,14 @@ integral itself, computed by Gauss-Legendre quadrature with node doubling
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
-from quatgamma.quat_core import Quaternion
 from quatgamma.su2_angular import (
     AngularQuadrature,
     angular_bessel,
     angular_quadrature,
     character,
-    monomial,
 )
 
 
@@ -59,32 +55,6 @@ def test_character_orthonormality():
     vals = np.array([character(n, q.nodes) for n in range(13)])
     gram = vals @ (vals * q.weights).T
     assert np.max(np.abs(gram - np.eye(13))) <= 1e-10
-
-
-# ------------------------------------------------------------------ monomials
-
-
-def test_monomial_values():
-    g = Quaternion(0.3, -0.5, 0.1, 0.4)
-    g = g.scale(1.0 / math.sqrt(0.3**2 + 0.5**2 + 0.1**2 + 0.4**2))
-    assert monomial(0, 0, g) == 1.0
-    s = 1.0 / math.sqrt(2.0)
-    h = Quaternion(s, 0.0, s, 0.0)  # a = b = 1/sqrt(2)
-    assert abs(monomial(2, 1, h) - 0.5) <= 1e-15
-
-
-def test_monomial_bound_and_validation():
-    rng = np.random.default_rng(37)
-    for _ in range(50):
-        v = rng.standard_normal(4)
-        g = Quaternion(*(v / np.linalg.norm(v)))
-        for n in range(5):
-            for j in range(n + 1):
-                assert abs(monomial(n, j, g)) <= 1.0 + 1e-12
-    with pytest.raises(ValueError):
-        monomial(2, 1, Quaternion(1.0, 1.0, 0.0, 0.0))  # not unit
-    with pytest.raises(ValueError):
-        monomial(2, 3, Quaternion(1.0))  # j out of range
 
 
 # --------------------------------------------------------- oscillatory integral
