@@ -63,9 +63,6 @@ G_CONSTANT = 4.0 * LOG_2PI + 4.0 * np.euler_gamma - 2.0
 
 DECAY_SURROGATE_BOUND = 1e-8
 
-DEFAULT_GRID_EXTENT = 2.0
-DEFAULT_GRID_POINTS = 33
-
 # s-values per exponent block in gaussian_moment_quadrature: a block's
 # complex matrix is 32 x 2,592 (1.3 MB) at the default 16 nodes per panel
 _MOMENT_BLOCK = 32
@@ -173,7 +170,8 @@ def isotypic_grid_function(grid: Grid4D, f: IsotypicFunction) -> GridFunction:
     """
     from scipy.interpolate import CubicSpline
 
-    spline = CubicSpline(f.log_profile.grid, f.log_profile.samples)
+    k = f.log_profile
+    spline = CubicSpline(k.grid, k.samples)
     m = grid.points_per_axis
     c = m // 2
     h = grid.spacing
@@ -184,7 +182,7 @@ def isotypic_grid_function(grid: Grid4D, f: IsotypicFunction) -> GridFunction:
     nz = n > 0.0
     v = np.empty_like(n)
     v[nz] = 2.0 * np.log(n[nz])
-    inside = nz & (np.abs(np.where(nz, v, 0.0)) <= f.log_profile.half_width)
+    inside = nz & (np.abs(np.where(nz, v, 0.0)) <= k.half_width)
     theta = np.arccos(np.clip(x0[inside] / np.sqrt(n[inside]), -1.0, 1.0))
     table[inside] = (
         character(f.N, theta) * spline(v[inside]) / (SQRT_2PI2 * n[inside])

@@ -461,7 +461,7 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
     import numpy as np
 
     from .connes_trace import TraceConfig, fit_trace_expansion, residual_sweep, trace_direct
-    from .gamma_op import IsotypicFunction, op_H, value_at_identity
+    from .gamma_op import IsotypicFunction, value_at_identity
 
     scale = args.profile_scale
     width = args.profile_width
@@ -505,7 +505,7 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
         "slope": slope,
         "intercept": intercept,
         "f_at_1": value_at_identity(f).real,
-        "h_at_1": value_at_identity(op_H(f)).real,
+        "h_at_1": results[0].h_term.real,
         "max_route_discrepancy": route_gap,
     }
 

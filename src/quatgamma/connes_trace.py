@@ -119,13 +119,12 @@ def _direct_panel_edges(v_min: float, v_top: float) -> np.ndarray:
 
 
 def _direct_quadrature(
-    f: IsotypicFunction,
+    gamma_f: IsotypicFunction,
     lam: float,
     nodes_per_panel: int,
     v_min: float,
 ) -> complex:
     two_log = 2.0 * math.log(lam)
-    gamma_f = gamma_transform(f)
     edges = _direct_panel_edges(v_min, two_log)
     x, w = leggauss(nodes_per_panel)
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -133,7 +132,7 @@ def _direct_quadrature(
     v = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wt = (half[:, None] * w[None, :]).ravel()
     kernel = profile_value(gamma_f.spectral_profile, v)
-    bess = angular_bessel(f.N, np.exp(v / 4.0))
+    bess = angular_bessel(gamma_f.N, np.exp(v / 4.0))
     integrand = (two_log - v) * kernel * bess * np.exp(v / 2.0)
     return complex(2.0 * np.pi**2 * np.sum(wt * integrand))
 
@@ -156,8 +155,9 @@ def trace_direct(
     """
     if lam <= 1.0:
         raise ValueError("cutoff must exceed 1")
-    coarse = _direct_quadrature(f, lam, nodes_per_panel, v_min)
-    fine = _direct_quadrature(f, lam, nodes_per_panel + nodes_per_panel // 2, v_min)
+    gamma_f = gamma_transform(f)
+    coarse = _direct_quadrature(gamma_f, lam, nodes_per_panel, v_min)
+    fine = _direct_quadrature(gamma_f, lam, nodes_per_panel + nodes_per_panel // 2, v_min)
     if abs(coarse - fine) > tol * max(1.0, abs(fine)):
         raise QuadratureError(
             f"trace_direct: refinements at {nodes_per_panel} and "

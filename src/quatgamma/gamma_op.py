@@ -12,8 +12,8 @@ realized exactly as multiplication by v on the K-side):
     K-operator         psi -> k_N * psi
     B                  psi -> h_N*psi - to_spectral(v*K)   (= H - A)
 
-An IsotypicFunction keeps the log-profile and the spectral profile in
-sync; each operator performs at most the transforms it inherently needs.
+An IsotypicFunction carries one picture, the spectral profile psi; the log
+side K is derived when read, once per instance, and only A above reads it.
 
 Grid policy: functions are built by default on the wide log-window
 v in [-64, 64].  Outputs of H, B, and the Gamma operator have e^{-|v|/2}
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -34,10 +35,13 @@ import numpy as np
 from .quat_core import Quaternion
 from .specfun import gamma_multiplier, h_multiplier, k_multiplier
 from .spectral_line import (
+    DEFAULT_DECAY_GUARD,
     DEFAULT_SPECTRAL_HALF_WIDTH,
     DEFAULT_SPECTRAL_SPACING,
     WIDE_LOG_HALF_WIDTH,
     Profile,
+    _check_decay,
+    _check_reciprocity,
     evaluate_at_one,
     from_spectral,
     profile_value,
@@ -70,11 +74,17 @@ DEFAULT_V_HALF_WIDTH = WIDE_LOG_HALF_WIDTH  # 64.0
 
 @dataclass(frozen=True, eq=False)
 class IsotypicFunction:
-    """Angular mode N plus the radial profile in both pictures."""
+    """Angular mode N, spectral profile psi, and the v-grid K is read on."""
 
     N: int
-    log_profile: Profile
     spectral_profile: Profile
+    v_spacing: float = DEFAULT_V_SPACING
+    v_half_width: float = DEFAULT_V_HALF_WIDTH
+
+    def __post_init__(self) -> None:
+        psi = self.spectral_profile
+        _check_decay(psi.samples, DEFAULT_DECAY_GUARD, "spectral profile")
+        _check_reciprocity(self.v_spacing, self.v_half_width, psi.spacing, psi.half_width)
 
     @classmethod
     def from_log_function(
@@ -87,23 +97,12 @@ class IsotypicFunction:
         tau_half_width: float = DEFAULT_SPECTRAL_HALF_WIDTH,
     ) -> "IsotypicFunction":
         profile = Profile.from_function(fn, v_spacing, v_half_width)
-        return cls(N, profile, to_spectral(profile, tau_spacing, tau_half_width))
+        return cls(N, to_spectral(profile, tau_spacing, tau_half_width), v_spacing, v_half_width)
 
-    @classmethod
-    def from_spectral_profile(
-        cls,
-        N: int,
-        psi: Profile,
-        v_spacing: float = DEFAULT_V_SPACING,
-        v_half_width: float = DEFAULT_V_HALF_WIDTH,
-    ) -> "IsotypicFunction":
-        return cls(N, from_spectral(psi, v_spacing, v_half_width), psi)
-
-    def _replace_spectral(self, samples: np.ndarray) -> "IsotypicFunction":
-        """The function whose spectral samples are these, on the same grids."""
-        psi = replace(self.spectral_profile, samples=samples)
-        k = from_spectral(psi, self.log_profile.spacing, self.log_profile.half_width)
-        return IsotypicFunction(self.N, k, psi)
+    @cached_property
+    def log_profile(self) -> Profile:
+        """K on the v-grid, transformed from psi on first read."""
+        return from_spectral(self.spectral_profile, self.v_spacing, self.v_half_width)
 
 
 def gaussian_isotypic(
@@ -132,12 +131,15 @@ def value_at_identity(f: IsotypicFunction) -> complex:
 # ------------------------------------------------------------------ operators
 
 
+def _with_spectrum(f: IsotypicFunction, samples: np.ndarray) -> IsotypicFunction:
+    """The function on f's grids whose spectral samples are these."""
+    return replace(f, spectral_profile=replace(f.spectral_profile, samples=samples))
+
+
 def inversion(f: IsotypicFunction) -> IsotypicFunction:
-    """f(g) -> f(g^{-1}): reflection of both profiles (chi_N is invariant
+    """f(g) -> f(g^{-1}): reflection of the profile (chi_N is invariant
     under g0 -> g0^{-1})."""
-    k = replace(f.log_profile, samples=f.log_profile.samples[::-1])
-    psi = replace(f.spectral_profile, samples=f.spectral_profile.samples[::-1])
-    return IsotypicFunction(f.N, k, psi)
+    return _with_spectrum(f, f.spectral_profile.samples[::-1])
 
 
 def _multiply(
@@ -146,7 +148,7 @@ def _multiply(
     """psi -> multiplier(N, tau) * psi, the one path every multiplier
     operator takes."""
     m = multiplier(f.N, f.spectral_profile.grid)
-    return f._replace_spectral(m * f.spectral_profile.samples)
+    return _with_spectrum(f, m * f.spectral_profile.samples)
 
 
 def gamma_transform(f: IsotypicFunction) -> IsotypicFunction:
@@ -166,10 +168,11 @@ def fourier_transform(f: IsotypicFunction) -> IsotypicFunction:
 
 
 def op_A(f: IsotypicFunction) -> IsotypicFunction:
-    """A: multiplication of the log-profile by v (spectrally, -i d/dtau)."""
-    k = replace(f.log_profile, samples=f.log_profile.grid * f.log_profile.samples)
-    psi = to_spectral(k, f.spectral_profile.spacing, f.spectral_profile.half_width)
-    return IsotypicFunction(f.N, k, psi)
+    """A: multiplication of the log-profile by v (spectrally, -i d/dtau),
+    the one operator that reads the log side."""
+    k, psi = f.log_profile, f.spectral_profile
+    vk = to_spectral(replace(k, samples=k.grid * k.samples), psi.spacing, psi.half_width)
+    return _with_spectrum(f, vk.samples)
 
 
 def op_H(f: IsotypicFunction) -> IsotypicFunction:
@@ -188,8 +191,7 @@ def op_B(f: IsotypicFunction) -> IsotypicFunction:
     The A-part is computed on the K-side (exact), never by numerical
     differentiation of psi.
     """
-    h_psi = h_multiplier(f.N, f.spectral_profile.grid) * f.spectral_profile.samples
-    return f._replace_spectral(h_psi - op_A(f).spectral_profile.samples)
+    return _with_spectrum(f, op_H(f).spectral_profile.samples - op_A(f).spectral_profile.samples)
 
 
 # ------------------------------------------------------------ additive picture
@@ -211,7 +213,7 @@ class AdditiveFunction:
         theta = np.arccos(np.clip(pts[:, 0] / r, -1.0, 1.0))
         v = 2.0 * np.log(n)  # log|x| with |x| = n(x)^2
         k_vals = np.zeros(len(v), dtype=complex)
-        inside = np.abs(v) <= self.source.log_profile.half_width
+        inside = np.abs(v) <= self.source.v_half_width
         if inside.any():
             k_vals[inside] = profile_value(self.source.spectral_profile, v[inside])
         # outside the window the profile is below the decay guard: treat as 0

@@ -23,6 +23,7 @@ from quatgamma.additive_oracle import (
     omega_grid_function,
     op_b_via_distribution,
 )
+from quatgamma.cli import _seeded_probes
 from quatgamma.connes_trace import (
     TraceConfig,
     fit_trace_expansion,
@@ -54,14 +55,6 @@ from quatgamma.specfun import (
 def verdict(capsys, number, name, ok, detail):
     with capsys.disabled():
         print(f"criterion {number:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def seeded_probes(count, lo, hi, seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(count, 4))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    pts *= (lo + (hi - lo) * rng.random(count))[:, None]
-    return pts
 
 
 def narrow_profile(n):
@@ -109,7 +102,7 @@ def test_criterion_02_functional_equation(capsys):
 def test_criterion_03_self_dual_gaussian(capsys):
     start = time.perf_counter()
     box = Grid4D(2.0, 33)
-    probes = seeded_probes(10, 0.2, 1.0, seed=101)
+    probes = _seeded_probes(10, seed=101, lo=0.2, hi=1.0)
     got = brute_fourier(omega_grid_function(box), probes)
     want = np.exp(-2.0 * np.pi * np.sum(probes * probes, axis=1))
     err = float(np.max(np.abs(got - want) / want))
@@ -123,7 +116,7 @@ def test_criterion_03_self_dual_gaussian(capsys):
 def test_criterion_04_multiplier_vs_oracle(capsys):
     start = time.perf_counter()
     box = Grid4D(2.0, 33)
-    probes = seeded_probes(5, 0.4, 0.9, seed=900)
+    probes = _seeded_probes(5, seed=900, lo=0.4, hi=0.9)
     worst = 0.0
     for n in (0, 1, 2):
         f = narrow_profile(n)

@@ -10,6 +10,7 @@ tolerances a few orders above the measured error floors.
 import numpy as np
 import pytest
 
+from quatgamma import AliasingError, DecayError, gamma_op
 from quatgamma.gamma_op import (
     SQRT_2PI2,
     IsotypicFunction,
@@ -47,13 +48,38 @@ def test_gaussian_isotypic_value_at_identity():
 
 def test_from_spectral_profile_roundtrip():
     f = gaussian_isotypic(2, center=0.3)
-    g = IsotypicFunction.from_spectral_profile(
-        2,
-        f.spectral_profile,
-        v_spacing=f.log_profile.spacing,
-        v_half_width=f.log_profile.half_width,
-    )
-    assert np.max(np.abs(k_of(g) - k_of(f))) < 1e-12
+    g = IsotypicFunction(2, f.spectral_profile)
+    samples = np.exp(-0.5 * (g.log_profile.grid - 0.3) ** 2)
+    assert np.max(np.abs(k_of(g) - samples)) < 1e-12
+
+
+def test_from_log_function_refuses_undecayed_spectrum():
+    # a box in v transforms to 2 sin(tau)/tau, still ~1e-2 at |tau| = 64
+    with pytest.raises(DecayError):
+        IsotypicFunction.from_log_function(0, lambda v: (np.abs(v) < 1.0).astype(float))
+
+
+def test_construction_refuses_aliasing_v_grid():
+    psi = gaussian_isotypic(0).spectral_profile
+    # v-spacing 1 against tau half-width 64: 64 > pi
+    with pytest.raises(AliasingError):
+        IsotypicFunction(0, psi, v_spacing=1.0)
+
+
+def test_log_profile_is_built_once_when_read(monkeypatch):
+    built = []
+    transform = gamma_op.from_spectral
+
+    def counting(*args):
+        built.append(args)
+        return transform(*args)
+
+    monkeypatch.setattr(gamma_op, "from_spectral", counting)
+    g = op_H(gamma_transform(gaussian_isotypic(1)))
+    assert built == []  # the multipliers never transform back
+    first = g.log_profile
+    assert g.log_profile is first
+    assert len(built) == 1
 
 
 # ------------------------------------------------------------------ inversion
@@ -98,18 +124,9 @@ def test_gamma_inverse_recovers():
 def test_gamma_transform_is_linear():
     a = gaussian_isotypic(1, center=0.5)
     b = gaussian_isotypic(1, center=-0.7, width=1.3)
+    psi = a.spectral_profile
     combo = IsotypicFunction(
-        1,
-        type(a.log_profile)(
-            a.log_profile.spacing,
-            a.log_profile.half_width,
-            2.0 * k_of(a) + 3.0 * k_of(b),
-        ),
-        type(a.spectral_profile)(
-            a.spectral_profile.spacing,
-            a.spectral_profile.half_width,
-            2.0 * psi_of(a) + 3.0 * psi_of(b),
-        ),
+        1, type(psi)(psi.spacing, psi.half_width, 2.0 * psi_of(a) + 3.0 * psi_of(b))
     )
     lhs = psi_of(gamma_transform(combo))
     rhs = 2.0 * psi_of(gamma_transform(a)) + 3.0 * psi_of(gamma_transform(b))
