@@ -12,8 +12,8 @@ realized exactly as multiplication by v on the K-side):
     K-operator         psi -> k_N * psi
     B                  psi -> h_N*psi - to_spectral(v*K)   (= H - A)
 
-An IsotypicFunction carries one picture, the spectral profile psi; the log
-side K is derived when read, once per instance, and only A above reads it.
+An IsotypicFunction carries one picture, the spectral profile psi.  The log
+side K is derived on each read and never stored; only A (and B via A) reads it.
 
 Grid policy: functions are built by default on the wide log-window
 v in [-64, 64].  Outputs of H, B, and the Gamma operator have e^{-|v|/2}
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -35,13 +34,11 @@ import numpy as np
 from .quat_core import Quaternion
 from .specfun import gamma_multiplier, h_multiplier, k_multiplier
 from .spectral_line import (
-    DEFAULT_DECAY_GUARD,
     DEFAULT_SPECTRAL_HALF_WIDTH,
     DEFAULT_SPECTRAL_SPACING,
     WIDE_LOG_HALF_WIDTH,
     Profile,
-    _check_decay,
-    _check_reciprocity,
+    check_spectral,
     evaluate_at_one,
     from_spectral,
     profile_value,
@@ -82,9 +79,7 @@ class IsotypicFunction:
     v_half_width: float = DEFAULT_V_HALF_WIDTH
 
     def __post_init__(self) -> None:
-        psi = self.spectral_profile
-        _check_decay(psi.samples, DEFAULT_DECAY_GUARD, "spectral profile")
-        _check_reciprocity(self.v_spacing, self.v_half_width, psi.spacing, psi.half_width)
+        check_spectral(self.spectral_profile, self.v_spacing, self.v_half_width)
 
     @classmethod
     def from_log_function(
@@ -99,9 +94,9 @@ class IsotypicFunction:
         profile = Profile.from_function(fn, v_spacing, v_half_width)
         return cls(N, to_spectral(profile, tau_spacing, tau_half_width), v_spacing, v_half_width)
 
-    @cached_property
+    @property
     def log_profile(self) -> Profile:
-        """K on the v-grid, transformed from psi on first read."""
+        """K on the v-grid, transformed from psi on each read."""
         return from_spectral(self.spectral_profile, self.v_spacing, self.v_half_width)
 
 
@@ -169,7 +164,7 @@ def fourier_transform(f: IsotypicFunction) -> IsotypicFunction:
 
 def op_A(f: IsotypicFunction) -> IsotypicFunction:
     """A: multiplication of the log-profile by v (spectrally, -i d/dtau),
-    the one operator that reads the log side."""
+    the operator that reads the log side."""
     k, psi = f.log_profile, f.spectral_profile
     vk = to_spectral(replace(k, samples=k.grid * k.samples), psi.spacing, psi.half_width)
     return _with_spectrum(f, vk.samples)
@@ -186,11 +181,8 @@ def op_K(f: IsotypicFunction) -> IsotypicFunction:
 
 
 def op_B(f: IsotypicFunction) -> IsotypicFunction:
-    """B = H - A: psi -> h_N*psi - to_spectral(v*K).
-
-    The A-part is computed on the K-side (exact), never by numerical
-    differentiation of psi.
-    """
+    """B = H - A: psi -> h_N*psi - to_spectral(v*K), the A-part exact on the
+    K-side, never a numerical derivative of psi."""
     return _with_spectrum(f, op_H(f).spectral_profile.samples - op_A(f).spectral_profile.samples)
 
 

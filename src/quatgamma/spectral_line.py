@@ -52,6 +52,7 @@ __all__ = [
     "Profile",
     "to_spectral",
     "from_spectral",
+    "check_spectral",
     "evaluate_at_one",
     "profile_value",
     "DEFAULT_LOG_SPACING",
@@ -181,6 +182,14 @@ def to_spectral(
     return Profile(spacing, half_width, dv * phase * vals)
 
 
+def check_spectral(
+    psi: Profile, spacing: float, half_width: float, guard: float = DEFAULT_DECAY_GUARD
+) -> None:
+    """Raise unless psi has decayed and can be read on this v-grid."""
+    _check_decay(psi.samples, guard, "spectral profile")
+    _check_reciprocity(spacing, half_width, psi.spacing, psi.half_width)
+
+
 def from_spectral(
     psi: Profile,
     spacing: float = DEFAULT_LOG_SPACING,
@@ -188,12 +197,10 @@ def from_spectral(
     decay_guard: float = DEFAULT_DECAY_GUARD,
 ) -> Profile:
     """K(v_m) = (spacing_tau / 2 pi) * sum_k psi(tau_k) e^{-i tau_k v_m}."""
-    _check_decay(psi.samples, decay_guard, "spectral profile")
-    _check_reciprocity(spacing, half_width, psi.spacing, psi.half_width)
+    check_spectral(psi, spacing, half_width, decay_guard)
     dtau, tau_half = psi.spacing, psi.half_width
     n_out = int(round(2.0 * half_width / spacing)) + 1
-    q = len(psi.samples)
-    y = psi.samples * np.exp(1j * half_width * dtau * np.arange(q))
+    y = psi.samples * np.exp(1j * half_width * dtau * np.arange(len(psi.samples)))
     vals = _unit_chirp_sum(y, n_out, -spacing * dtau)
     phase = np.exp(-1j * tau_half * half_width) * np.exp(
         1j * spacing * np.arange(n_out) * tau_half

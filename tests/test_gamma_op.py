@@ -66,7 +66,7 @@ def test_construction_refuses_aliasing_v_grid():
         IsotypicFunction(0, psi, v_spacing=1.0)
 
 
-def test_log_profile_is_built_once_when_read(monkeypatch):
+def test_log_profile_is_derived_only_when_read(monkeypatch):
     built = []
     transform = gamma_op.from_spectral
 
@@ -77,9 +77,11 @@ def test_log_profile_is_built_once_when_read(monkeypatch):
     monkeypatch.setattr(gamma_op, "from_spectral", counting)
     g = op_H(gamma_transform(gaussian_isotypic(1)))
     assert built == []  # the multipliers never transform back
-    first = g.log_profile
-    assert g.log_profile is first
+    g.log_profile
     assert len(built) == 1
+    # nothing is stored: each read transforms again
+    g.log_profile
+    assert len(built) == 2
 
 
 # ------------------------------------------------------------------ inversion
