@@ -22,11 +22,10 @@ Gamma,
     (2 log Lambda - B)_+ = Gamma (2 log Lambda + A)_+ Gamma^{-1},
 
 so the weight becomes plain multiplication by max(2 log Lambda + v, 0) on
-the log side (see trace_spectral).  The kink of that weight at
-v = -2 log Lambda would poison a uniform-grid transform, so the transform
-is split there.  The sub-kink piece enters the trace only through its
-gamma_N-weighted sum over the finite tau-grid, so sum and integral swap:
-it is the integral over [-V, -2 log Lambda] of the smooth factor against
+the log side (see trace_spectral).  The weight vanishes below its kink at
+v0 = -2 log Lambda, and the weighted profile enters the trace only through
+its gamma_N-weighted sum over the finite tau-grid, so sum and integral
+swap: the trace is one integral over [v0, V] of the weighted K against
 G(v) = sum_k gamma_N(tau_k) e^{i tau_k v}.  G is band-limited to the
 tau-window, so fixed Gauss-Legendre panels resolve the product to
 rounding.
@@ -51,7 +50,7 @@ from .gamma_op import (
     value_at_identity,
 )
 from .specfun import gamma_multiplier
-from .spectral_line import Profile, profile_value, to_spectral
+from .spectral_line import Profile, profile_value
 from .su2_angular import angular_bessel
 
 __all__ = [
@@ -66,9 +65,15 @@ __all__ = [
 DEFAULT_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
+def _check_cutoff(lam: float) -> None:
+    """Refuse a cutoff that is not a finite number above 1."""
+    if not 1.0 < lam < math.inf:
+        raise ValueError(f"cutoff must be finite and exceed 1, got {lam}")
+
+
 @dataclass(frozen=True)
 class TraceConfig:
-    """Sweep configuration: the profile, the cutoff list (strictly
+    """Sweep configuration: the profile, the cutoff list (finite, strictly
     increasing, all above 1), quadrature resolutions, and the refinement
     tolerance.  radial_nodes (Gauss nodes per radial panel) parameterizes
     the direct route; the spectral route does not use it."""
@@ -83,8 +88,8 @@ class TraceConfig:
         lams = tuple(float(l) for l in self.lambdas)
         if len(lams) == 0:
             raise ValueError("lambdas must be non-empty")
-        if any(l <= 1.0 for l in lams):
-            raise ValueError("every cutoff must exceed 1")
+        for lam in lams:
+            _check_cutoff(lam)
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambdas must be strictly increasing")
         if self.radial_nodes < 2:
@@ -153,8 +158,7 @@ def trace_direct(
     count raised by half) must agree within tol, else the quadrature
     reports failure.
     """
-    if lam <= 1.0:
-        raise ValueError("cutoff must exceed 1")
+    _check_cutoff(lam)
     gamma_f = gamma_transform(f)
     coarse = _direct_quadrature(gamma_f, lam, nodes_per_panel, v_min)
     fine = _direct_quadrature(gamma_f, lam, nodes_per_panel + nodes_per_panel // 2, v_min)
@@ -170,22 +174,17 @@ def trace_direct(
 # ---------------------------------------------------------- spectral route
 
 
-def _sub_kink_sum(
-    psi: Profile,
-    gamma_vals: np.ndarray,
-    two_log: float,
-    lo: float,
-    panel_width: float,
+def _above_kink_sum(
+    psi: Profile, gamma_vals: np.ndarray, two_log: float, hi: float, panel_width: float
 ) -> complex:
-    """sum_k gamma_vals[k] psi_c(tau_k), psi_c the transform of
-    g = (2 log Lambda + v) K over [lo, -2 log Lambda], as the single
+    """sum_k gamma_vals[k] psi_+(tau_k), psi_+ the transform of
+    g = (2 log Lambda + v) K over [-2 log Lambda, hi], as the single
     integral of g(v) G(v) with G(v) = sum_k gamma_vals[k] e^{i tau_k v}.
     Both factors are trigonometric sums on psi's tau-window, so their
     product is band-limited and 32-node Gauss-Legendre on equal panels of
     width at most panel_width resolves it to rounding."""
-    hi = -two_log
-    n_panels = int(math.ceil((hi - lo) / panel_width))
-    edges = np.linspace(lo, hi, n_panels + 1)
+    n_panels = int(math.ceil((hi + two_log) / panel_width))
+    edges = np.linspace(-two_log, hi, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[1:] + edges[:-1])
     x, w = leggauss(32)
@@ -200,43 +199,30 @@ def trace_spectral(f: IsotypicFunction, lam: float, tol: float = 1e-8) -> comple
     """Trace through Gamma max(2 log Lambda + A, 0) Gamma^{-1} applied to
     the inverted profile and read off at the identity.
 
-    The weight is exact on the log side.  Its kink at v0 = -2 log Lambda
-    is split off: the full-line linear weight transforms on the uniform
-    grid (spectrally accurate, the integrand is smooth), and the
-    correction over [-V, v0], where the true weight vanishes, enters only
-    through its gamma_N-weighted sum over the tau-grid, which is
-    integrated in swapped order (_sub_kink_sum).  Two panel widths must
-    agree within tol.  A cutoff of e^{V/2} or more puts the kink outside
-    the log window and is refused.
+    The weight is exact on the log side and vanishes below its kink at
+    v0 = -2 log Lambda, so the trace is the gamma_N-weighted tau-sum of
+    the transform of (2 log Lambda + v) K over [v0, V] alone, integrated
+    in swapped order (_above_kink_sum).  Two panel widths must agree
+    within tol.  A cutoff of e^{V/2} or more puts the kink outside the
+    log window and is refused.
     """
-    if lam <= 1.0:
-        raise ValueError("cutoff must exceed 1")
+    _check_cutoff(lam)
     two_log = 2.0 * math.log(lam)
-    v0 = -two_log
-
-    f1 = gamma_inverse(inversion(f))
-    prof = f1.log_profile
-    if v0 <= -prof.half_width:
+    v_half = f.v_half_width
+    if two_log >= v_half:
         raise ValueError(
-            f"cutoff {lam} puts the kink -2 log(Lambda) = {v0:.4g} outside the "
-            f"log window [-{prof.half_width:g}, {prof.half_width:g}]; cutoffs "
-            f"must stay below e^{prof.half_width / 2:g}"
+            f"cutoff {lam} puts the kink -2 log(Lambda) = {-two_log:.4g} outside the log "
+            f"window [-{v_half:g}, {v_half:g}]; cutoffs must stay below e^{v_half / 2:g}"
         )
-    psi = f1.spectral_profile
-    full = Profile(prof.spacing, prof.half_width, (two_log + prof.grid) * prof.samples)
-    psi_full = to_spectral(full, psi.spacing, psi.half_width)
-
+    psi = gamma_inverse(inversion(f)).spectral_profile
     gamma_vals = gamma_multiplier(f.N, psi.grid)
-    lo = -prof.half_width
-    coarse = _sub_kink_sum(psi, gamma_vals, two_log, lo, panel_width=1.0)
-    fine = _sub_kink_sum(psi, gamma_vals, two_log, lo, panel_width=0.5)
-
+    coarse = _above_kink_sum(psi, gamma_vals, two_log, v_half, panel_width=1.0)
+    fine = _above_kink_sum(psi, gamma_vals, two_log, v_half, panel_width=0.5)
     weight = (f.N + 1) * psi.spacing / (2.0 * np.pi)
-    trace = weight * (np.sum(gamma_vals * psi_full.samples) - fine)
-    gap = weight * abs(fine - coarse)
+    trace, gap = weight * fine, weight * abs(fine - coarse)
     if gap > tol * max(1.0, abs(trace)):
         raise QuadratureError(
-            f"trace_spectral: sub-kink panel widths 1.0 and 0.5 disagree by "
+            f"trace_spectral: above-kink panel widths 1.0 and 0.5 disagree by "
             f"{gap:.3e} (tol {tol:g}) at cutoff {lam}"
         )
     return complex(trace)

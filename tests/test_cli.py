@@ -365,8 +365,8 @@ def test_trace_sweep_refuses_oversized_cutoff(tmp_path):
         cli._parse_lambdas("2,4,1e12")
     with pytest.raises(cli._UsageError, match=r"cutoff 7e\+13 needs about 40\.2 GB"):
         cli._parse_lambdas("7e13")
-    # from e^32 on, -2 log(cutoff) <= -64 leaves trace_spectral's sub-kink
-    # interval empty or reversed
+    # from e^32 on, the kink -2 log(cutoff) <= -64 falls outside
+    # trace_spectral's log window [-64, 64]
     from quatgamma.gamma_op import DEFAULT_V_HALF_WIDTH
 
     assert cli._SPECTRAL_HALF_WIDTH == DEFAULT_V_HALF_WIDTH

@@ -16,13 +16,14 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_legendre, spherical_jn
 
+from quatgamma import spectral_line
 from quatgamma._errors import QuadratureError
 from quatgamma.additive_oracle import op_b_via_distribution
 from quatgamma.connes_trace import (
     DEFAULT_LAMBDAS,
     TraceConfig,
     TraceResult,
-    _sub_kink_sum,
+    _above_kink_sum,
     fit_trace_expansion,
     residual_sweep,
     trace_direct,
@@ -60,7 +61,7 @@ def _filon_fourier(
 ) -> np.ndarray:
     """int_lo^hi g(v) e^{i tau v} dv for every tau at once: the Filon-type
     panel transform (Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383),
-    the oracle for trace_spectral's swapped-order sub-kink integral.
+    the oracle for trace_spectral's swapped-order integral above the kink.
 
     Per panel the smooth factor g is projected onto Legendre polynomials
     and the oscillatory moments int P_m(x) e^{i alpha x} dx = 2 i^m
@@ -193,46 +194,44 @@ def test_filon_any_tau_array(taus):
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_filon_matches_direct_on_trace_integrand(n):
-    # trace_spectral's sub-kink integrand on its own tau grid, both panel
-    # widths; measured 9.4e-16 x peak
+    # trace_spectral's integrand above the kink on its own tau grid, both
+    # panel widths; measured <= 2.2e-15 x peak
     f1 = gamma_inverse(inversion(gaussian_isotypic(n)))
-    prof, psi = f1.log_profile, f1.spectral_profile
+    psi = f1.spectral_profile
     for lam in (2.0, 16.0):
         two_log = 2.0 * math.log(lam)
 
-        def sub_kink(v):
+        def above_kink(v):
             return (two_log + v) * profile_value(psi, v)
 
         for width in (1.0, 0.5):
-            args = (sub_kink, -prof.half_width, -two_log, psi.grid, width)
+            args = (above_kink, -two_log, f1.v_half_width, psi.grid, width)
             got = _filon_fourier(*args)
             ref = _filon_fourier_direct(*args)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
-def test_sub_kink_matches_filon(n):
-    # trace_spectral's swapped-order sub-kink integral int g G at its fine
-    # width against the per-tau Filon transforms summed with the gamma_N
-    # weights.  The oracle runs at width 0.25: at 0.5 its own error
-    # (5e-16 on 3.4e-7 at Lambda = 16) exceeds the integral's.  Measured
-    # <= 4.3e-14 relative at Lambda = 2 (magnitudes 0.066 - 0.086) and
-    # <= 3.3e-20 absolute at Lambda = 16 (9.2e-8 - 3.4e-7).
+def test_above_kink_matches_filon(n):
+    # trace_spectral's swapped-order integral int g G over [-2 log Lambda, V]
+    # at its fine width against the per-tau Filon transforms summed with
+    # the gamma_N weights, the oracle at width 0.25.  Measured <= 2.3e-15
+    # relative on sums of magnitude 2,000 - 4,600
     f1 = gamma_inverse(inversion(gaussian_isotypic(n)))
-    prof, psi = f1.log_profile, f1.spectral_profile
+    psi = f1.spectral_profile
     gamma_vals = gamma_multiplier(n, psi.grid)
     for lam in (2.0, 16.0):
         two_log = 2.0 * math.log(lam)
 
-        def sub_kink(v):
+        def above_kink(v):
             return (two_log + v) * profile_value(psi, v)
 
-        got = _sub_kink_sum(psi, gamma_vals, two_log, -prof.half_width, 0.5)
-        psi_c = _filon_fourier(
-            sub_kink, -prof.half_width, -two_log, psi.grid, panel_width=0.25
+        got = _above_kink_sum(psi, gamma_vals, two_log, f1.v_half_width, 0.5)
+        psi_plus = _filon_fourier(
+            above_kink, -two_log, f1.v_half_width, psi.grid, panel_width=0.25
         )
-        ref = np.sum(gamma_vals * psi_c)
-        assert abs(got - ref) <= 1e-16 + 1e-12 * abs(ref)
+        ref = np.sum(gamma_vals * psi_plus)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 # ------------------------------------------------------------ route equality
@@ -364,6 +363,34 @@ def test_cutoff_must_exceed_one(standard):
         trace_spectral(standard, 0.5)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_non_finite_cutoff_is_refused(standard, lam):
+    # a nan cutoff would skip the direct route's panel loop and return 0,
+    # an infinite one would never leave it
+    match = f"cutoff must be finite and exceed 1, got {lam}"
+    with pytest.raises(ValueError, match=match):
+        trace_direct(standard, lam)
+    with pytest.raises(ValueError, match=match):
+        trace_spectral(standard, lam)
+    with pytest.raises(ValueError, match=match):
+        TraceConfig(f=standard, lambdas=(2.0, lam))
+
+
+def test_spectral_route_runs_no_transform(standard, monkeypatch):
+    # to_spectral and from_spectral both run through _unit_chirp_sum; the
+    # spectral route reads the profile off psi by profile_value alone
+    calls = []
+    chirp_sum = spectral_line._unit_chirp_sum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return chirp_sum(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_line, "_unit_chirp_sum", counting)
+    trace_spectral(standard, 4.0)
+    assert not calls
+
+
 def test_direct_refinement_failure_is_reported(standard):
     # two nodes per panel cannot resolve a full oscillation period; the
     # coarse/fine disagreement is 5e-3 at this cutoff
@@ -372,7 +399,7 @@ def test_direct_refinement_failure_is_reported(standard):
 
 
 def test_spectral_refinement_check_is_live(standard):
-    # the sub-kink integrals at panel widths 1.0 and 0.5 differ by 1.4e-17
+    # the above-kink integrals at panel widths 1.0 and 0.5 differ by 2.4e-19
     # in the trace, so a zero tolerance must trip the guard
     with pytest.raises(QuadratureError, match=r"trace_spectral: .*\(tol 0\)"):
         trace_spectral(standard, 4.0, tol=0.0)
@@ -381,7 +408,8 @@ def test_spectral_refinement_check_is_live(standard):
 @pytest.mark.parametrize("log_lam", [32.5, 40.0])
 def test_spectral_refuses_kink_outside_window(standard, log_lam):
     # the kink -2 log Lambda must lie inside the log window [-64, 64];
-    # beyond it the sub-kink interval [-64, v0] would be reversed
+    # beyond it the weight max(2 log Lambda + v, 0) is positive on the
+    # whole window and the interval [v0, 64] would reach past its edge
     with pytest.raises(ValueError, match="outside the log window"):
         trace_spectral(standard, math.exp(log_lam))
 
