@@ -19,15 +19,14 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ._errors import QuadratureError
+from ._quadrature import gauss_panels, legendre_rule
 from .gamma_op import SQRT_2PI2, IsotypicFunction, op_H, to_additive
 from .quat_core import Quaternion, class_angle
 from .specfun import (
@@ -63,8 +62,9 @@ G_CONSTANT = 4.0 * LOG_2PI + 4.0 * np.euler_gamma - 2.0
 
 DECAY_SURROGATE_BOUND = 1e-8
 
-# s-values per exponent block in gaussian_moment_quadrature: a block's
-# complex matrix is 32 x 2,592 (1.3 MB) at the default 16 nodes per panel
+# s-values per block in gaussian_moment_quadrature: a block's panel
+# exponentials and their product with one node's weights are each
+# 32 x 162 complex (83 KB)
 _MOMENT_BLOCK = 32
 
 
@@ -264,7 +264,7 @@ def radial_fourier(
     prev = None
     n = 128
     for _ in range(max_doublings + 1):
-        x, w = _legendre_rule(n)
+        x, w = legendre_rule(n)
         r = 0.5 * r_max * (x + 1.0)
         wr = 0.5 * r_max * w
         q = np.asarray(radial(r), dtype=complex)
@@ -284,25 +284,6 @@ def radial_fourier(
 
 
 # ----------------------------------------------- regularized distributions
-
-
-@functools.lru_cache(maxsize=None)
-def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per n and
-    shared read-only by every caller."""
-    x, w = leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _gauss_panels(edges: np.ndarray, nodes_per_panel: int):
-    x, w = _legendre_rule(nodes_per_panel)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
 
 
 def _class_average(
@@ -334,8 +315,8 @@ def _regularized_radial(
     u_top = 4.0 * math.log(r_max)
     inner_edges = np.linspace(log_floor, 0.0, max(2, int(math.ceil(-log_floor / 2.0))) + 1)
     outer_edges = np.linspace(0.0, u_top, max(2, int(math.ceil(u_top / 2.0))) + 1)
-    u_in, w_in = _gauss_panels(inner_edges, nodes_per_panel)
-    u_out, w_out = _gauss_panels(outer_edges, nodes_per_panel)
+    u_in, w_in = gauss_panels(inner_edges, nodes_per_panel)
+    u_out, w_out = gauss_panels(outer_edges, nodes_per_panel)
     u_all = np.concatenate([u_in, u_out])
     avg = _class_average(phi, np.exp(u_all / 4.0), angular_nodes)
     return phi_zero, (u_in, w_in, avg[: len(u_in)]), (u_out, w_out, avg[len(u_in):])
@@ -440,25 +421,32 @@ def gaussian_moment_quadrature(N: int, s: ArrayLike, nodes_per_panel: int = 16) 
     sits at e^{-50 pi}.
 
     s may be a scalar or an array of any shape, as in gaussian_moment.
-    The panel rule comes from a cache (one Gauss-Legendre rule per
-    nodes_per_panel) and the s-independent exponent N u - 2 pi e^{2u} is
-    formed once per call; the s-dependent part is exponentiated for at
-    most _MOMENT_BLOCK values of s at a time, which bounds the temporary
-    matrix, and each value's sum is its own row's np.sum, so results do
-    not depend on the block size or the thread count.
+    The 162 panels are equal, so with panel midpoints m_p, one half-width
+    h and Gauss-Legendre nodes x_j the s-dependent factor splits as
+    e^{4s(m_p + h x_j)} = e^{4s m_p} e^{4s h x_j}: each value of s needs
+    162 panel and nodes_per_panel node exponentials, not one per node.
+    The s-independent weights h w_j e^{N u - 2 pi e^{2u}} are formed once
+    per call.  Each value's sum is, for each node, an np.sum over the
+    panels of its row, then one over the nodes: a fixed order without
+    BLAS, taken for at most _MOMENT_BLOCK values of s at a time, so
+    results do not depend on the block size or the thread count.
     """
     s = _strip_points(s)
     edges = np.linspace(-160.0, math.log(5.0), 163)
-    u, w = _gauss_panels(edges, nodes_per_panel)
-    base = N * u - 2.0 * np.pi * np.exp(2.0 * u)
+    x, w = legendre_rule(nodes_per_panel)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    # one half-width for every panel: the linspace widths differ in their
+    # last bits, and the weights and the node factor must share the nodes
+    h = 0.5 * (edges[1] - edges[0])
+    u = mid[None, :] + h * x[:, None]
+    weights = (h * w)[:, None] * np.exp(N * u - 2.0 * np.pi * np.exp(2.0 * u))
     flat = s.ravel()
     out = np.empty(flat.shape, dtype=complex)
     for i in range(0, flat.size, _MOMENT_BLOCK):
-        terms = np.multiply.outer(4.0 * flat[i : i + _MOMENT_BLOCK], u)
-        terms += base
-        np.exp(terms, out=terms)
-        terms *= w
-        out[i : i + _MOMENT_BLOCK] = np.sum(terms, axis=1)
+        s4 = 4.0 * flat[i : i + _MOMENT_BLOCK, None]
+        panel = np.exp(s4 * mid)
+        per_node = np.stack([np.sum(panel * row, axis=1) for row in weights], axis=1)
+        out[i : i + _MOMENT_BLOCK] = np.sum(per_node * np.exp(s4 * (h * x)), axis=1)
     return _scalar_or_array(8.0 * np.pi**2 * out.reshape(s.shape), complex)
 
 

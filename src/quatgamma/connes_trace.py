@@ -38,9 +38,9 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ._errors import QuadratureError
+from ._quadrature import gauss_panels, legendre_rule
 from .gamma_op import (
     IsotypicFunction,
     gamma_inverse,
@@ -131,11 +131,7 @@ def _direct_quadrature(
 ) -> complex:
     two_log = 2.0 * math.log(lam)
     edges = _direct_panel_edges(v_min, two_log)
-    x, w = leggauss(nodes_per_panel)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    v = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
+    v, wt = gauss_panels(edges, nodes_per_panel)
     kernel = profile_value(gamma_f.spectral_profile, v)
     bess = angular_bessel(gamma_f.N, np.exp(v / 4.0))
     integrand = (two_log - v) * kernel * bess * np.exp(v / 2.0)
@@ -187,7 +183,7 @@ def _above_kink_sum(
     edges = np.linspace(-two_log, hi, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[1:] + edges[:-1])
-    x, w = leggauss(32)
+    x, w = legendre_rule(32)
     v = (mids[:, None] + half * x[None, :]).ravel()
     g = (two_log + v) * profile_value(psi, v)
     gamma_prof = Profile(psi.spacing, psi.half_width, gamma_vals)

@@ -17,6 +17,8 @@ import math
 import numpy as np
 import pytest
 
+from quatgamma import additive_oracle
+from quatgamma._quadrature import gauss_panels
 from quatgamma.additive_oracle import (
     G_CONSTANT,
     Grid4D,
@@ -304,10 +306,10 @@ def test_delta_s_of_gaussian_is_moment(s):
 def test_delta_s_regularized_matches_direct(s):
     """For Re(s) > 0 the subtracted and pole terms cancel exactly, so the
     regularized value must agree with the unregularized integral."""
-    from quatgamma.additive_oracle import _class_average, _gauss_panels
+    from quatgamma.additive_oracle import _class_average
 
     edges = np.linspace(-96.0, 4.0 * math.log(64.0), 81)
-    u, w = _gauss_panels(edges, 16)
+    u, w = gauss_panels(edges, 16)
     avg = _class_average(omega_exact, np.exp(u / 4.0), 64)
     direct = 2.0 * np.pi**2 * np.sum(w * np.exp(s * u) * avg)
     assert abs(delta_s(s, omega_exact) - direct) / abs(direct) < 1e-8
@@ -386,6 +388,38 @@ def test_moment_functions_array_matches_scalar_loop(N):
         # the residual is itself relative, so it is compared on the scale 1
         scale = np.maximum(np.abs(want), 1.0) if fn is functional_equation_residual else np.abs(want)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+# criterion 02's strip grid: 20 abscissae k/21, 20 ordinates on [-2, 2]
+STRIP_GRID = (np.arange(1, 21) / 21.0)[:, None] + 1j * np.linspace(-2.0, 2.0, 20)[None, :]
+
+
+def _moment_quadrature_reference(N, s, nodes_per_panel=16):
+    """The un-factored radial sum: one complex exponential per node and
+    strip point, on the panels of gaussian_moment_quadrature."""
+    edges = np.linspace(-160.0, math.log(5.0), 163)
+    u, w = gauss_panels(edges, nodes_per_panel)
+    base = N * u - 2.0 * np.pi * np.exp(2.0 * u)
+    terms = np.exp(np.multiply.outer(4.0 * s, u) + base) * w
+    return 8.0 * np.pi**2 * np.sum(terms, axis=-1)
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_moment_quadrature_matches_unfactored_sum(N):
+    # both routes sit at a rounding floor of about 7e-12 against the closed
+    # form; they differ by at most 1.4e-11 relative (N = 0), 8e-13 for N >= 1
+    got = gaussian_moment_quadrature(N, STRIP_GRID)
+    want = _moment_quadrature_reference(N, STRIP_GRID)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 5e-11
+
+
+@pytest.mark.parametrize("N", [0, 3, 6])
+def test_moment_quadrature_block_size_invariant(N, monkeypatch):
+    results = []
+    for block in (1, 7, 32, 400):
+        monkeypatch.setattr(additive_oracle, "_MOMENT_BLOCK", block)
+        results.append(gaussian_moment_quadrature(N, STRIP_GRID))
+    assert all(np.array_equal(r, results[0]) for r in results[1:])
 
 
 def test_moment_functions_scalar_and_empty():

@@ -16,7 +16,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_legendre, spherical_jn
 
-from quatgamma import spectral_line
+from quatgamma import _quadrature, spectral_line
 from quatgamma._errors import QuadratureError
 from quatgamma.additive_oracle import op_b_via_distribution
 from quatgamma.connes_trace import (
@@ -389,6 +389,18 @@ def test_spectral_route_runs_no_transform(standard, monkeypatch):
     monkeypatch.setattr(spectral_line, "_unit_chirp_sum", counting)
     trace_spectral(standard, 4.0)
     assert not calls
+
+
+def test_routes_reuse_cached_legendre_rules(standard, monkeypatch):
+    trace_direct(standard, 4.0)
+    trace_spectral(standard, 4.0)
+
+    def rebuild(n):
+        raise AssertionError(f"Gauss-Legendre rule with {n} nodes rebuilt")
+
+    monkeypatch.setattr(_quadrature, "leggauss", rebuild)
+    trace_direct(standard, 4.0)
+    trace_spectral(standard, 4.0)
 
 
 def test_direct_refinement_failure_is_reported(standard):
