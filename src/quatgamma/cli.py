@@ -4,6 +4,8 @@ Subcommands emit CSV tables (UTF-8, comma, LF, header row) whose first
 line is the run manifest as a '#'-prefixed JSON comment, plus a
 ``.summary.json`` next to each table.  Floats are printed with 17
 significant digits so a rerun with the same manifest is bit-identical.
+A table is columns, not rows: key columns shared by every sector and one
+block of value columns per sector N, formatted a block at a time.
 Wall-clock duration lives only in the JSON summary: embedding it in the
 CSV would break that rerun contract.
 
@@ -31,10 +33,13 @@ import os
 import re
 import sys
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from ._errors import AliasingError, DecayError, NonConvergenceError, QuadratureError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -64,6 +69,13 @@ _TRACE_DIRECT_BYTES_PER_NODE = 100
 # (gamma_op.DEFAULT_V_HALF_WIDTH); the kink -2 log(cutoff) must lie inside it
 _SPECTRAL_HALF_WIDTH = 64.0
 
+# largest sector functional-eq runs: the moment quadrature's own limit
+# (additive_oracle._MOMENT_QUADRATURE_MAX_N)
+_MAX_MOMENT_N = 11
+
+# one sector of a table: N (None: no sector column) and its value columns
+_Block = Tuple[Optional[int], Sequence["np.ndarray"]]
+
 
 class _UsageError(ValueError):
     """Semantic argument failure: reported on stderr with exit code 2."""
@@ -91,19 +103,36 @@ def _manifest(command: str, **params: object) -> Dict[str, object]:
     return out
 
 
+def _row_major(columns: Sequence[list]) -> tuple:
+    """The entries of equal-length columns, row by row, as one flat tuple."""
+    flat: list = [None] * (len(columns) * len(columns[0]))
+    for j, col in enumerate(columns):
+        flat[j :: len(columns)] = col
+    return tuple(flat)
+
+
 def _write_csv(
     path: str,
     manifest: Dict[str, object],
     header: Sequence[str],
-    rows: Iterable[Tuple[object, ...]],
-) -> None:
-    """One row format per table: the sector column N is an integer, every
-    other column a Python float printed with 17 significant digits."""
-    fmt = ",".join("%d" if name == "N" else "%.17g" for name in header) + "\n"
+    keys: Sequence["np.ndarray"],
+    blocks: Iterable[_Block],
+) -> int:
+    """Write rows N, keys, values: the bytes of a "%d"/"%.17g" row format.
+    The key columns are formatted once per table, each block by one
+    %-substitution as it is written, so one block's strings are alive at a
+    time.  Returns the number of rows."""
+    key_fmt = ",".join(["%.17g"] * len(keys)) + "\n"
+    key_text = (key_fmt * len(keys[0]) % _row_major([k.tolist() for k in keys])).splitlines()
+    rows = 0
     with _replacing(path) as fh:
         fh.write("# " + json.dumps(manifest, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % row for row in rows)
+        for n, values in blocks:
+            fmt = ("" if n is None else "%d," % n) + "%s" + ",%.17g" * len(values) + "\n"
+            fh.write(fmt * len(key_text) % _row_major([key_text] + [v.tolist() for v in values]))
+            rows += len(key_text)
+    return rows
 
 
 @contextlib.contextmanager
@@ -132,23 +161,23 @@ def _write_json(path: str, payload: Dict[str, object]) -> None:
         fh.write("\n")
 
 
-_Table = Tuple[Dict[str, object], Sequence[str], List[Tuple[object, ...]], Dict[str, object]]
+_Table = Tuple[Dict[str, object], Sequence[str], Sequence["np.ndarray"], List[_Block], Dict[str, object]]
 
 
 def _table_command(build: Callable[[argparse.Namespace], _Table]):
-    """Turn build(args) -> (manifest, header, rows, figures) into a table
-    command: time it, write the CSV to --out, and write the summary beside
-    it (manifest, duration, row count and the command's own figures)."""
+    """Turn build(args) -> (manifest, header, keys, blocks, figures) into a
+    table command: time it, write the CSV to --out, and write the summary
+    beside it (manifest, duration, row count and the command's figures)."""
 
     @functools.wraps(build)
     def run(args: argparse.Namespace) -> int:
         start = time.monotonic()
-        manifest, header, rows, figures = build(args)
-        _write_csv(args.out, manifest, header, rows)
+        manifest, header, keys, blocks, figures = build(args)
+        rows = _write_csv(args.out, manifest, header, keys, blocks)
         duration = time.monotonic() - start
         _write_json(
             _summary_path(args.out),
-            {"manifest": manifest, "duration_seconds": duration, "rows": len(rows), **figures},
+            {"manifest": manifest, "duration_seconds": duration, "rows": rows, **figures},
         )
         return 0
 
@@ -292,9 +321,8 @@ def cmd_gamma_table(args: argparse.Namespace) -> _Table:
             "gamma-table", n_min=args.n_min, n_max=args.n_max, s_grid=args.s_grid
         )
 
-    rows = []
+    blocks = []
     unit_err = 0.0
-    re_s, im_s = svals.real.tolist(), svals.imag.tolist()
     for n in sectors:
         if len(svals) == 0:
             break
@@ -302,10 +330,11 @@ def cmd_gamma_table(args: argparse.Namespace) -> _Table:
         mags = np.abs(vals)
         if tau_mode:
             unit_err = max(unit_err, float(np.max(np.abs(mags - 1.0))))
-        rows += zip([n] * len(svals), re_s, im_s, vals.real.tolist(), vals.imag.tolist(), mags.tolist())
+        blocks.append((n, (vals.real, vals.imag, mags)))
 
     header = ("N", "re_s", "im_s", "re_gamma", "im_gamma", "abs_gamma")
-    return manifest, header, rows, {"max_unit_modulus_error": unit_err} if tau_mode else {}
+    figures = {"max_unit_modulus_error": unit_err} if tau_mode else {}
+    return manifest, header, (svals.real, svals.imag), blocks, figures
 
 
 @_table_command
@@ -326,8 +355,7 @@ def cmd_spectral_scan(args: argparse.Namespace) -> _Table:
         tau_step=args.tau_step,
     )
 
-    rows = []
-    tau_list = taus.tolist()
+    blocks = []
     min_h = math.inf
     min_h_at = (0, 0.0)
     max_k = -math.inf
@@ -341,9 +369,9 @@ def cmd_spectral_scan(args: argparse.Namespace) -> _Table:
         j = int(np.argmax(np.abs(k)))
         if abs(k[j]) > max_k:
             max_k, max_k_at = float(abs(k[j])), (n, float(taus[j]))
-        rows += zip([n] * len(taus), tau_list, h.tolist(), k.tolist())
+        blocks.append((n, (h, k)))
 
-    return manifest, ("N", "tau", "h", "k"), rows, {
+    return manifest, ("N", "tau", "h", "k"), (taus,), blocks, {
         "min_h": min_h,
         "min_h_at": list(min_h_at),
         "max_abs_k": max_k,
@@ -354,6 +382,11 @@ def cmd_spectral_scan(args: argparse.Namespace) -> _Table:
 @_table_command
 def cmd_functional_eq(args: argparse.Namespace) -> _Table:
     sectors = _sector_range(args)
+    if args.n_max > _MAX_MOMENT_N:
+        raise _UsageError(
+            f"--n-max {args.n_max} is above {_MAX_MOMENT_N}, the largest N whose "
+            f"moment quadrature stays within 1e-10 of the closed form"
+        )
     svals = _parse_s_grid(args.s_grid, sectors)
     manifest = _manifest(
         "functional-eq", n_min=args.n_min, n_max=args.n_max, s_grid=args.s_grid
@@ -368,8 +401,7 @@ def cmd_functional_eq(args: argparse.Namespace) -> _Table:
     )
 
     svals = np.asarray(svals, dtype=complex)
-    re_s, im_s = svals.real.tolist(), svals.imag.tolist()
-    rows = []
+    blocks = []
     worst_fe: List[float] = []
     worst_quad: List[float] = []
     for n in sectors:
@@ -378,11 +410,12 @@ def cmd_functional_eq(args: argparse.Namespace) -> _Table:
         fe = functional_equation_residual(n, svals)
         closed = gaussian_moment(n, svals)
         quad = np.abs(gaussian_moment_quadrature(n, svals) - closed) / np.abs(closed)
-        rows += zip([n] * len(svals), re_s, im_s, fe.tolist(), quad.tolist())
+        blocks.append((n, (fe, quad)))
         worst_fe.append(float(fe.max()))
         worst_quad.append(float(quad.max()))
 
-    return manifest, ("N", "re_s", "im_s", "funceq_residual", "quad_residual"), rows, {
+    header = ("N", "re_s", "im_s", "funceq_residual", "quad_residual")
+    return manifest, header, (svals.real, svals.imag), blocks, {
         "max_funceq_residual": max(worst_fe, default=None),
         "max_quad_residual": max(worst_quad, default=None),
     }
@@ -492,6 +525,7 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
         )
         route_gap = max(route_gap, abs(direct - r.trace) / max(1.0, abs(r.trace)))
         rows.append((float(r.lam), direct.real, r.trace.real, r.residual.real))
+    lams, *values = np.array(rows, dtype=float).T
 
     try:
         slope, intercept = fit_trace_expansion(results, config.fit_min_lambda)
@@ -501,7 +535,7 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
         except ValueError:
             slope = intercept = None
 
-    return manifest, ("lambda", "tr_direct", "tr_spectral", "residual"), rows, {
+    return manifest, ("lambda", "tr_direct", "tr_spectral", "residual"), (lams,), [(None, values)], {
         "slope": slope,
         "intercept": intercept,
         "f_at_1": value_at_identity(f).real,

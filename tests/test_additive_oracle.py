@@ -422,6 +422,16 @@ def test_moment_quadrature_block_size_invariant(N, monkeypatch):
     assert all(np.array_equal(r, results[0]) for r in results[1:])
 
 
+def test_moment_quadrature_refuses_unresolved_sectors():
+    limit = additive_oracle._MOMENT_QUADRATURE_MAX_N
+    closed = gaussian_moment(limit, STRIP_GRID)
+    err = np.abs(gaussian_moment_quadrature(limit, STRIP_GRID) - closed) / np.abs(closed)
+    assert np.max(err) < 1e-10
+    for N in (limit + 1, 30):
+        with pytest.raises(ValueError, match=f"N <= {limit}"):
+            gaussian_moment_quadrature(N, 0.5)
+
+
 def test_moment_functions_scalar_and_empty():
     for fn, kind in zip(MOMENT_FUNCTIONS, (complex, complex, float)):
         assert type(fn(2, 0.3 + 0.7j)) is kind

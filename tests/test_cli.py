@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from quatgamma import cli
@@ -220,6 +221,7 @@ def test_row_cap_counts_sectors_times_points(tmp_path):
     assert main(["functional-eq", "--n-max", "2500", "--s-grid", "20x20", "--out", out]) == 2
     huge = ["--n-min", "5", "--n-max", str(10**30), "--s-grid", "1x1", "--out", out]
     assert main(["functional-eq"] + huge) == 2
+    assert main(["functional-eq", "--n-max", "11", "--s-grid", "300x300", "--out", out]) == 2
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -255,6 +257,33 @@ def test_functional_eq_rerun_bit_identical(tmp_path):
     for row in rows:
         assert float(row[3]) <= 1e-10
         assert float(row[4]) <= 1e-9
+
+
+def test_functional_eq_refuses_unresolved_sectors(tmp_path):
+    # N = 30 would report the quadrature's own 1.4e-8 error as a residual;
+    # the limit is the quadrature's and is refused before numpy is imported
+    from quatgamma import additive_oracle
+
+    assert cli._MAX_MOMENT_N == additive_oracle._MOMENT_QUADRATURE_MAX_N
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys\n"
+        "from quatgamma.cli import main\n"
+        "print(main(['functional-eq', '--n-max', '30', '--out', 'never.csv']), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.split() == ["2", "False"], proc.stderr
+    assert f"above {cli._MAX_MOMENT_N}" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+    out = tmp_path / "fe.csv"
+    assert main(["functional-eq", "--n-min", "11", "--n-max", "11", "--s-grid", "1x1", "--out", str(out)]) == 0
+    assert float(read_table(out)[2][0][4]) <= 1e-10
 
 
 def test_functional_eq_empty_grid(tmp_path):
@@ -423,21 +452,97 @@ def test_thread_count_refused(value, monkeypatch, capsys):
 
 def test_failed_write_keeps_previous_file(tmp_path):
     out = tmp_path / "t.csv"
-    out.write_bytes(b"# old table\nN,x\n0,1\n")
+    out.write_bytes(b"# old table\nN,x,y\n0,1,2\n")
     before = out.read_bytes()
+    keys = (np.array([1.0]),)
 
-    def rows():
-        yield (0, 1.0)
-        yield (1, 2.0)
+    def blocks():
+        yield 0, (np.array([2.0]),)
         raise RuntimeError("numerical failure mid-table")
 
     with pytest.raises(RuntimeError):
-        cli._write_csv(str(out), {"command": "test"}, ("N", "x"), rows())
+        cli._write_csv(str(out), {"command": "test"}, ("N", "x", "y"), keys, blocks())
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
-    cli._write_csv(str(out), {"command": "test"}, ("N", "x"), [(0, 1.0)])
-    assert out.read_text(encoding="utf-8").endswith("N,x\n0,1\n")
+    rows = cli._write_csv(str(out), {"command": "test"}, ("N", "x", "y"), keys, [(0, (np.array([2.0]),))])
+    assert rows == 1
+    assert out.read_text(encoding="utf-8").endswith("N,x,y\n0,1,2\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def _row_wise_csv(path, manifest, header, rows):
+    """The reference writer: one "%d"/"%.17g" row format applied to each
+    row tuple in turn."""
+    fmt = ",".join("%d" if name == "N" else "%.17g" for name in header) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# " + json.dumps(manifest, sort_keys=True) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % row for row in rows)
+
+
+def _rows_of(keys, blocks):
+    """The row tuples of a column table: (N,) keys, values per row."""
+    return [
+        (() if n is None else (n,)) + tuple(key[i] for key in keys) + tuple(v[i] for v in values)
+        for n, values in blocks
+        for i in range(len(keys[0]))
+    ]
+
+
+# nan, +-inf, -0.0, the smallest subnormal, 1e308, and values whose
+# shortest repr is shorter than 17 digits (a "%r" format would differ)
+SPECIAL = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, -2.5e-7])
+RNG = np.random.default_rng(12)
+
+
+@pytest.mark.parametrize(
+    "header, keys, blocks",
+    [
+        # sector column and shared key columns
+        (
+            ("N", "re_s", "im_s", "a", "b"),
+            (RNG.random(9), SPECIAL),
+            [(0, (SPECIAL[::-1], RNG.normal(size=9))), (7, (RNG.normal(size=9) * 1e-300, SPECIAL))],
+        ),
+        # trace-sweep: no sector column, one block
+        (("lambda", "x", "y", "z"), (SPECIAL,), [(None, (SPECIAL, -SPECIAL, RNG.normal(size=9)))]),
+        # empty tables: no blocks, or blocks of no rows
+        (("N", "re_s", "im_s", "a"), (np.empty(0), np.empty(0)), []),
+        (("N", "tau", "h"), (np.empty(0),), [(0, (np.empty(0),)), (1, (np.empty(0),))]),
+        # single rows
+        (("N", "tau", "h", "k"), (SPECIAL[:1],), [(n, (SPECIAL[n : n + 1], SPECIAL[-1:])) for n in range(9)]),
+        (("lambda", "x"), (np.array([-0.0]),), [(None, (np.array([5e-324]),))]),
+    ],
+    ids=["sectors", "trace-sweep", "empty", "empty-blocks", "single-rows", "single-row-no-sector"],
+)
+def test_column_writer_matches_row_wise_writer(header, keys, blocks, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    manifest = {"command": "test", "s_grid": "3x3"}
+    rows = cli._write_csv(str(got), manifest, header, keys, iter(blocks))
+    _row_wise_csv(str(want), manifest, header, _rows_of(keys, blocks))
+    assert got.read_bytes() == want.read_bytes()
+    assert rows == len(_rows_of(keys, blocks))
+
+
+def test_readme_functional_eq_matches_row_wise_table(tmp_path):
+    from quatgamma.additive_oracle import (
+        functional_equation_residual,
+        gaussian_moment,
+        gaussian_moment_quadrature,
+    )
+
+    got, want = tmp_path / "residuals.csv", tmp_path / "want.csv"
+    assert main(["functional-eq", "--n-max", "6", "--s-grid", "20x20", "--out", str(got)]) == 0
+    manifest, header, _ = read_table(got)
+    s = np.asarray(cli._parse_s_grid("20x20", range(7)))
+    rows = []
+    for n in range(7):
+        fe = functional_equation_residual(n, s)
+        closed = gaussian_moment(n, s)
+        quad = np.abs(gaussian_moment_quadrature(n, s) - closed) / np.abs(closed)
+        rows += [(n, z.real, z.imag, a, b) for z, a, b in zip(s.tolist(), fe.tolist(), quad.tolist())]
+    _row_wise_csv(str(want), manifest, header, rows)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_subcommand_required():
