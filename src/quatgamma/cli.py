@@ -493,7 +493,7 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
 
     import numpy as np
 
-    from .connes_trace import TraceConfig, fit_trace_expansion, residual_sweep, trace_direct
+    from .connes_trace import TraceConfig, residual_sweep, trace_direct
     from .gamma_op import IsotypicFunction, value_at_identity
 
     scale = args.profile_scale
@@ -513,31 +513,20 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
         profile_width=width,
         profile_scale=scale,
         tol=args.tol,
-        radial_nodes=config.radial_nodes,
     )
 
     results = residual_sweep(config)
     rows = []
     route_gap = 0.0
     for r in results:
-        direct = trace_direct(
-            f, r.lam, tol=config.tolerance, nodes_per_panel=config.radial_nodes
-        )
+        direct = trace_direct(f, r.lam, tol=config.tolerance)
         route_gap = max(route_gap, abs(direct - r.trace) / max(1.0, abs(r.trace)))
         rows.append((float(r.lam), direct.real, r.trace.real, r.residual.real))
     lams, *values = np.array(rows, dtype=float).T
 
-    try:
-        slope, intercept = fit_trace_expansion(results, config.fit_min_lambda)
-    except ValueError:
-        try:
-            slope, intercept = fit_trace_expansion(results, min(config.lambdas))
-        except ValueError:
-            slope = intercept = None
-
     return manifest, ("lambda", "tr_direct", "tr_spectral", "residual"), (lams,), [(None, values)], {
-        "slope": slope,
-        "intercept": intercept,
+        "slope": results[-1].slope.real,
+        "intercept": results[-1].intercept.real,
         "f_at_1": value_at_identity(f).real,
         "h_at_1": results[0].h_term.real,
         "max_route_discrepancy": route_gap,

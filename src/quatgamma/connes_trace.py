@@ -21,14 +21,22 @@ Gamma,
 
     (2 log Lambda - B)_+ = Gamma (2 log Lambda + A)_+ Gamma^{-1},
 
-so the weight becomes plain multiplication by max(2 log Lambda + v, 0) on
-the log side (see trace_spectral).  The weight vanishes below its kink at
-v0 = -2 log Lambda, and the weighted profile enters the trace only through
-its gamma_N-weighted sum over the finite tau-grid, so sum and integral
-swap: the trace is one integral over [v0, V] of the weighted K against
-G(v) = sum_k gamma_N(tau_k) e^{i tau_k v}.  G is band-limited to the
-tau-window, so fixed Gauss-Legendre panels resolve the product to
-rounding.
+so the weight becomes max(L + v, 0), L = 2 log Lambda, on the log side.
+It vanishes below its kink at -L, and the weighted profile enters the
+trace only through its gamma_N-weighted sum over the finite tau-grid, so
+sum and integral swap: with P = K G, G(v) = sum_k gamma_N(tau_k)
+e^{i tau_k v}, C0(a) = int_a^V P, C1(a) = int_a^V v P and
+w = (N + 1) dtau / 2 pi,
+
+    Tr(Lambda) = w int_{-L}^{V} (L + v) P(v) dv = w (L C0(-L) + C1(-L)).
+
+One kernel serves a whole cutoff list (_spectral_sweep): every kink is a
+panel edge, P is evaluated once per panel width, and the two suffix sums
+give at each cutoff the trace, its exact slope w C0 -> f(1) and its exact
+intercept w C1 -> -H(f)(1).  G is band-limited to the tau-window, so
+fixed Gauss-Legendre panels resolve the product to rounding.  The other
+kinks of a list split a trace's panels, so its last bits depend on the
+list; reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ._errors import QuadratureError
-from ._quadrature import gauss_panels, legendre_rule
+from ._quadrature import gauss_panels
 from .gamma_op import (
     IsotypicFunction,
     gamma_inverse,
@@ -74,15 +82,11 @@ def _check_cutoff(lam: float) -> None:
 @dataclass(frozen=True)
 class TraceConfig:
     """Sweep configuration: the profile, the cutoff list (finite, strictly
-    increasing, all above 1), quadrature resolutions, and the refinement
-    tolerance.  radial_nodes (Gauss nodes per radial panel) parameterizes
-    the direct route; the spectral route does not use it."""
+    increasing, all above 1), and the refinement tolerance."""
 
     f: IsotypicFunction
     lambdas: Tuple[float, ...] = DEFAULT_LAMBDAS
-    radial_nodes: int = 16
     tolerance: float = 1e-8
-    fit_min_lambda: float = 8.0
 
     def __post_init__(self) -> None:
         lams = tuple(float(l) for l in self.lambdas)
@@ -92,18 +96,19 @@ class TraceConfig:
             _check_cutoff(lam)
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambdas must be strictly increasing")
-        if self.radial_nodes < 2:
-            raise ValueError("radial_nodes must be at least 2")
         object.__setattr__(self, "lambdas", lams)
 
 
 @dataclass(frozen=True)
 class TraceResult:
-    """One cutoff's trace and its expansion bookkeeping: leading term
+    """One cutoff's trace, its exact slope (-> f(1)) and intercept
+    (-> -H(f)(1)), and the expansion bookkeeping: leading term
     2 log(Lambda) f(1), the constant -H(f)(1), and what is left over."""
 
     lam: float
     trace: complex
+    slope: complex
+    intercept: complex
     leading: complex
     h_term: complex
     residual: complex
@@ -170,84 +175,87 @@ def trace_direct(
 # ---------------------------------------------------------- spectral route
 
 
-def _above_kink_sum(
-    psi: Profile, gamma_vals: np.ndarray, two_log: float, hi: float, panel_width: float
-) -> complex:
-    """sum_k gamma_vals[k] psi_+(tau_k), psi_+ the transform of
-    g = (2 log Lambda + v) K over [-2 log Lambda, hi], as the single
-    integral of g(v) G(v) with G(v) = sum_k gamma_vals[k] e^{i tau_k v}.
-    Both factors are trigonometric sums on psi's tau-window, so their
-    product is band-limited and 32-node Gauss-Legendre on equal panels of
-    width at most panel_width resolves it to rounding."""
-    n_panels = int(math.ceil((hi + two_log) / panel_width))
-    edges = np.linspace(-two_log, hi, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    x, w = legendre_rule(32)
-    v = (mids[:, None] + half * x[None, :]).ravel()
-    g = (two_log + v) * profile_value(psi, v)
-    gamma_prof = Profile(psi.spacing, psi.half_width, gamma_vals)
-    G = (2.0 * np.pi / psi.spacing) * profile_value(gamma_prof, -v)
-    return complex(half * np.sum(np.tile(w, n_panels) * g * G))
+def _kink_moments(
+    psi: Profile, gamma_prof: Profile, n: int, kinks: np.ndarray, top: float, width: float
+) -> np.ndarray:
+    """Rows (w C0, w C1) from each kink up to top, on equal panels at most
+    width wide between consecutive edges, every kink an edge."""
+    stops = sorted(set(kinks)) + [top]
+    spans = zip(stops, stops[1:])
+    pieces = [np.linspace(a, b, math.ceil((b - a) / width), endpoint=False) for a, b in spans]
+    nodes, weights = gauss_panels(np.concatenate(pieces + [[top]]), 32)
+    # w G(v) = (N + 1) profile_value(gamma_prof, -v)
+    p = (n + 1) * profile_value(psi, nodes) * profile_value(gamma_prof, -nodes)
+    p *= weights
+    vp = nodes * p
+    return np.array([(np.sum(p[i:]), np.sum(vp[i:])) for i in np.searchsorted(nodes, kinks)])
+
+
+def _spectral_sweep(f: IsotypicFunction, lambdas: Sequence[float], tol: float) -> np.ndarray:
+    """Rows (Tr, w C0, w C1) at the cutoffs in lambdas' order.  The weight
+    vanishes at the kink, so dTr/dL = w C0(-L) and Tr - L dTr/dL = w C1(-L)
+    exactly.  P is evaluated once per panel width, 1.0 and 0.5, whatever
+    the number of cutoffs; the widths must agree within tol on all three
+    numbers, else the first failing cutoff is named."""
+    v_half = f.v_half_width
+    two_logs = []
+    for lam in lambdas:
+        _check_cutoff(lam)
+        two_log = 2.0 * math.log(lam)
+        if two_log >= v_half:
+            raise ValueError(
+                f"cutoff {lam} puts the kink -2 log(Lambda) = {-two_log:.4g} outside the log "
+                f"window [-{v_half:g}, {v_half:g}]; cutoffs must stay below e^{v_half / 2:g}"
+            )
+        two_logs.append(two_log)
+    L = np.array(two_logs)
+    kinks = -L
+    psi = gamma_inverse(inversion(f)).spectral_profile
+    gamma_prof = Profile(psi.spacing, psi.half_width, gamma_multiplier(f.N, psi.grid))
+    rows = []
+    for width in (1.0, 0.5):
+        c0, c1 = _kink_moments(psi, gamma_prof, f.N, kinks, v_half, width).T
+        rows.append(np.stack([L * c0 + c1, c0, c1], axis=1))
+    coarse, fine = rows
+    gaps = np.abs(fine - coarse)
+    for lam, gap, bound in zip(lambdas, gaps, tol * np.maximum(1.0, np.abs(fine))):
+        if np.any(gap > bound):
+            raise QuadratureError(
+                f"trace_spectral: above-kink panel widths 1.0 and 0.5 disagree by "
+                f"{gap.max():.3e} (tol {tol:g}) at cutoff {lam}"
+            )
+    return fine
 
 
 def trace_spectral(f: IsotypicFunction, lam: float, tol: float = 1e-8) -> complex:
     """Trace through Gamma max(2 log Lambda + A, 0) Gamma^{-1} applied to
-    the inverted profile and read off at the identity.
-
-    The weight is exact on the log side and vanishes below its kink at
-    v0 = -2 log Lambda, so the trace is the gamma_N-weighted tau-sum of
-    the transform of (2 log Lambda + v) K over [v0, V] alone, integrated
-    in swapped order (_above_kink_sum).  Two panel widths must agree
-    within tol.  A cutoff of e^{V/2} or more puts the kink outside the
-    log window and is refused.
-    """
-    _check_cutoff(lam)
-    two_log = 2.0 * math.log(lam)
-    v_half = f.v_half_width
-    if two_log >= v_half:
-        raise ValueError(
-            f"cutoff {lam} puts the kink -2 log(Lambda) = {-two_log:.4g} outside the log "
-            f"window [-{v_half:g}, {v_half:g}]; cutoffs must stay below e^{v_half / 2:g}"
-        )
-    psi = gamma_inverse(inversion(f)).spectral_profile
-    gamma_vals = gamma_multiplier(f.N, psi.grid)
-    coarse = _above_kink_sum(psi, gamma_vals, two_log, v_half, panel_width=1.0)
-    fine = _above_kink_sum(psi, gamma_vals, two_log, v_half, panel_width=0.5)
-    weight = (f.N + 1) * psi.spacing / (2.0 * np.pi)
-    trace, gap = weight * fine, weight * abs(fine - coarse)
-    if gap > tol * max(1.0, abs(trace)):
-        raise QuadratureError(
-            f"trace_spectral: above-kink panel widths 1.0 and 0.5 disagree by "
-            f"{gap:.3e} (tol {tol:g}) at cutoff {lam}"
-        )
-    return complex(trace)
+    the inverted profile, read off at the identity: the one-cutoff case
+    of _spectral_sweep.  Two panel widths must agree within tol; a cutoff
+    of e^{V/2} or more puts the kink outside the log window and is
+    refused.  In a sweep the other kinks split the panels, so a trace
+    from residual_sweep can differ from this one in its last bits
+    (measured <= 4e-16 relative); reruns are byte-identical."""
+    return complex(_spectral_sweep(f, (lam,), tol)[0, 0])
 
 
 # ------------------------------------------------------------------ sweeps
 
 
 def residual_sweep(config: TraceConfig) -> List[TraceResult]:
-    """Spectral-route traces over the cutoff list, with the expansion
-    bookkeeping attached.  The spectral route is used because its cost and
-    accuracy are uniform in Lambda; trace_direct remains the independent
+    """Spectral-route traces over the cutoff list from one sweep kernel,
+    with the exact slope and intercept and the expansion bookkeeping
+    attached.  The spectral route is used because its cost and accuracy
+    are uniform in Lambda; trace_direct remains the independent
     cross-check."""
     f = config.f
     f_at_1 = value_at_identity(f)
     h_at_1 = value_at_identity(op_H(f))
+    rows = _spectral_sweep(f, config.lambdas, config.tolerance).tolist()
     results = []
-    for lam in config.lambdas:
-        tr = trace_spectral(f, lam, tol=config.tolerance)
+    for lam, (tr, slope, intercept) in zip(config.lambdas, rows):
         leading = 2.0 * math.log(lam) * f_at_1
-        results.append(
-            TraceResult(
-                lam=lam,
-                trace=tr,
-                leading=leading,
-                h_term=h_at_1,
-                residual=tr - leading + h_at_1,
-            )
-        )
+        residual = tr - leading + h_at_1
+        results.append(TraceResult(lam, tr, slope, intercept, leading, h_at_1, residual))
     return results
 
 

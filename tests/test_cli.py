@@ -353,16 +353,16 @@ def test_trace_sweep_table(tmp_path):
     assert rc == 0
     manifest, header, rows = read_table(out)
     assert header == ["lambda", "tr_direct", "tr_spectral", "residual"]
-    assert manifest["radial_nodes"] == 16
     assert len(rows) == 2
     for row in rows:
         direct, spectral = float(row[1]), float(row[2])
         assert abs(direct - spectral) <= 1e-7 * max(1.0, abs(spectral))
     summary = read_summary(out)
     assert abs(summary["f_at_1"] - 1.0) <= 1e-12
-    # two cutoffs below the fit threshold: the fit falls back to all points
-    assert abs(summary["slope"] - 1.0) <= 0.01
-    assert abs(summary["intercept"] - (-summary["h_at_1"])) <= 0.01 * abs(summary["h_at_1"])
+    # the exact slope and intercept at the top cutoff, 4: measured
+    # relative errors 3.8e-5 and 2.1e-5
+    assert abs(summary["slope"] - 1.0) <= 1e-4
+    assert abs(summary["intercept"] - (-summary["h_at_1"])) <= 1e-4 * abs(summary["h_at_1"])
     assert summary["max_route_discrepancy"] <= 1e-7
 
 

@@ -1,14 +1,18 @@
 """Truncated-trace routes and the asymptotic expansion.
 
 The load-bearing checks are route equality (the oscillatory radial
-integral against the multiplier-side evaluation, two computations that
-share no code path past the profile itself) and the expansion
-bookkeeping: residuals shrinking superpolynomially, and the fitted line
-recovering f(1) and -H(f)(1).  Tolerances sit a few orders above error
-floors measured on this grid stack.
+integral against the multiplier-side evaluation) and the expansion
+bookkeeping: residuals shrinking superpolynomially, and the exact slope
+and intercept, and the fitted line, recovering f(1) and -H(f)(1).  The
+two routes share two kernels, so each has its own reference pin:
+gamma_multiplier (test_specfun.py::test_line_multipliers_vs_mpmath) and
+profile_value (test_spectral_line.py::test_profile_value_matches_dense_sum).
+Tolerances sit a few orders above error floors measured on this grid
+stack.
 """
 
 import math
+import re
 from typing import Callable
 
 import numpy as np
@@ -16,14 +20,14 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_legendre, spherical_jn
 
-from quatgamma import _quadrature, spectral_line
+from quatgamma import _quadrature, connes_trace, spectral_line
 from quatgamma._errors import QuadratureError
 from quatgamma.additive_oracle import op_b_via_distribution
 from quatgamma.connes_trace import (
     DEFAULT_LAMBDAS,
     TraceConfig,
     TraceResult,
-    _above_kink_sum,
+    _spectral_sweep,
     fit_trace_expansion,
     residual_sweep,
     trace_direct,
@@ -213,25 +217,83 @@ def test_filon_matches_direct_on_trace_integrand(n):
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_above_kink_matches_filon(n):
-    # trace_spectral's swapped-order integral int g G over [-2 log Lambda, V]
-    # at its fine width against the per-tau Filon transforms summed with
-    # the gamma_N weights, the oracle at width 0.25.  Measured <= 2.3e-15
-    # relative on sums of magnitude 2,000 - 4,600
-    f1 = gamma_inverse(inversion(gaussian_isotypic(n)))
+    # the sweep kernel's swapped-order integral int (L + v) K G over
+    # [-L, V], L = 2 log Lambda, at its fine width with both kinks as
+    # panel edges, against the per-tau Filon transforms summed with the
+    # gamma_N weights, the oracle at width 0.25.  Measured <= 1.8e-15
+    # relative on traces of magnitude 7 - 37
+    f = gaussian_isotypic(n)
+    f1 = gamma_inverse(inversion(f))
     psi = f1.spectral_profile
     gamma_vals = gamma_multiplier(n, psi.grid)
-    for lam in (2.0, 16.0):
+    weight = (n + 1) * psi.spacing / (2.0 * math.pi)
+    lams = (2.0, 16.0)
+    rows = _spectral_sweep(f, lams, 1e-8)
+    for lam, row in zip(lams, rows):
         two_log = 2.0 * math.log(lam)
 
         def above_kink(v):
             return (two_log + v) * profile_value(psi, v)
 
-        got = _above_kink_sum(psi, gamma_vals, two_log, f1.v_half_width, 0.5)
         psi_plus = _filon_fourier(
             above_kink, -two_log, f1.v_half_width, psi.grid, panel_width=0.25
         )
-        ref = np.sum(gamma_vals * psi_plus)
-        assert abs(got - ref) <= 1e-13 * abs(ref)
+        ref = weight * np.sum(gamma_vals * psi_plus)
+        assert abs(row[0] - ref) <= 1e-13 * abs(ref)
+
+
+PIN_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1024.0, 1e6, 1e12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_sweep_matches_single_cutoff_traces(n):
+    # the other kinks split the sweep's panels, so only the last bits
+    # move: measured <= 3.6e-16 relative
+    f = gaussian_isotypic(n)
+    sweep = residual_sweep(TraceConfig(f=f, lambdas=PIN_LAMBDAS))
+    for r in sweep:
+        single = trace_spectral(f, r.lam)
+        assert abs(r.trace - single) <= 1e-13 * abs(single)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_exact_slope_and_intercept(n):
+    # at Lambda = 1024 the tail is far below rounding: measured <= 2.3e-16
+    # (slope) and 7.1e-16 (intercept) relative.  H(f)(1) runs through
+    # h_N (digamma), the trace through gamma_N (log-gamma), so the
+    # intercept is a real check of W(f) = -H(f)(1).
+    f = gaussian_isotypic(n)
+    f_at_1 = value_at_identity(f)
+    h_at_1 = value_at_identity(op_H(f))
+    r = residual_sweep(TraceConfig(f=f, lambdas=PIN_LAMBDAS))[PIN_LAMBDAS.index(1024.0)]
+    assert abs(r.slope - f_at_1) <= 1e-13 * abs(f_at_1)
+    assert abs(r.intercept + h_at_1) <= 1e-13 * abs(h_at_1)
+    # the two coefficients rebuild the trace
+    assert abs(2.0 * math.log(r.lam) * r.slope + r.intercept - r.trace) <= 1e-13 * abs(r.trace)
+
+
+def test_sweep_cost_does_not_grow_with_cutoffs(standard, monkeypatch):
+    # one pass over the cutoff-independent work per sweep, not per cutoff
+    counts = {"profile_value": 0, "gamma_multiplier": 0}
+
+    def counting(name):
+        inner = getattr(connes_trace, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(connes_trace, name, counting(name))
+    seen = []
+    for lams in (PIN_LAMBDAS[:2], PIN_LAMBDAS):
+        residual_sweep(TraceConfig(f=standard, lambdas=lams))
+        seen.append(dict(counts))
+        counts.update(dict.fromkeys(counts, 0))
+    assert seen[0] == seen[1]
+    assert seen[0]["profile_value"] > 0 and seen[0]["gamma_multiplier"] > 0
 
 
 # ------------------------------------------------------------ route equality
@@ -350,8 +412,6 @@ def test_config_validation(standard):
         TraceConfig(f=standard, lambdas=(0.5, 2.0))
     with pytest.raises(ValueError):
         TraceConfig(f=standard, lambdas=(2.0, 2.0))
-    with pytest.raises(ValueError):
-        TraceConfig(f=standard, radial_nodes=1)
     cfg = TraceConfig(f=standard, lambdas=[2, 4])
     assert cfg.lambdas == (2.0, 4.0)
 
@@ -412,9 +472,12 @@ def test_direct_refinement_failure_is_reported(standard):
 
 def test_spectral_refinement_check_is_live(standard):
     # the above-kink integrals at panel widths 1.0 and 0.5 differ by 2.4e-19
-    # in the trace, so a zero tolerance must trip the guard
-    with pytest.raises(QuadratureError, match=r"trace_spectral: .*\(tol 0\)"):
+    # in the trace, so a zero tolerance must trip the guard, which names
+    # the cutoff, the first of a sweep's list that fails
+    with pytest.raises(QuadratureError, match=r"trace_spectral: .*\(tol 0\) at cutoff 4\.0$"):
         trace_spectral(standard, 4.0, tol=0.0)
+    with pytest.raises(QuadratureError, match=r"\(tol 0\) at cutoff 2\.0$"):
+        residual_sweep(TraceConfig(f=standard, lambdas=(2.0, 4.0), tolerance=0.0))
 
 
 @pytest.mark.parametrize("log_lam", [32.5, 40.0])
@@ -422,8 +485,12 @@ def test_spectral_refuses_kink_outside_window(standard, log_lam):
     # the kink -2 log Lambda must lie inside the log window [-64, 64];
     # beyond it the weight max(2 log Lambda + v, 0) is positive on the
     # whole window and the interval [v0, 64] would reach past its edge
+    lam = math.exp(log_lam)
     with pytest.raises(ValueError, match="outside the log window"):
-        trace_spectral(standard, math.exp(log_lam))
+        trace_spectral(standard, lam)
+    # in a sweep the refusal names the cutoff whose kink is outside
+    with pytest.raises(ValueError, match=f"^cutoff {re.escape(str(lam))} puts the kink"):
+        residual_sweep(TraceConfig(f=standard, lambdas=(2.0, lam)))
 
 
 def test_fit_needs_two_points(sweep):
