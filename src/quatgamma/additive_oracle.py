@@ -64,8 +64,8 @@ DECAY_SURROGATE_BOUND = 1e-8
 
 # s-values per block in gaussian_moment_quadrature: a block's panel
 # exponentials and their product with one node's weights are each
-# 32 x 162 complex (83 KB)
-_MOMENT_BLOCK = 32
+# 128 x 22 complex (45 KB), the panels above the flat tail
+_MOMENT_BLOCK = 128
 
 # largest N gaussian_moment_quadrature resolves (see its docstring)
 _MOMENT_QUADRATURE_MAX_N = 11
@@ -419,27 +419,51 @@ def gaussian_moment_quadrature(N: int, s: ArrayLike, nodes_per_panel: int = 16) 
 
         8 pi^2 int e^{(4s+N)u} e^{-2 pi e^{2u}} du
 
-    over u in [-160, log 5]; the lower tail is below 1e-12 relative for
-    Re(s) >= 1/21, the smallest strip-grid abscissa, and the upper cutoff
-    sits at e^{-50 pi}.  The integrand peaks near e^{2u} = N/4pi, which
-    outgrows the panels as N rises: on the 20 x 20 strip grid the relative
-    error is 8.4e-11 at N = 11, 1.1e-10 at N = 12 and 1.4e-8 at N = 30, so
-    N above _MOMENT_QUADRATURE_MAX_N = 11 raises ValueError.
+    over u < log 5; the upper cutoff sits at e^{-50 pi}.  The integrand
+    peaks near e^{2u} = N/4pi, which outgrows the panels as N rises: on
+    the 20 x 20 strip grid the relative error is 8.4e-11 at N = 11,
+    1.1e-10 at N = 12 and 1.4e-8 at N = 30, so N above
+    _MOMENT_QUADRATURE_MAX_N = 11 raises ValueError.
 
     s may be a scalar or an array of any shape, as in gaussian_moment.
-    The 162 panels are equal, so with panel midpoints m_p, one half-width
-    h and Gauss-Legendre nodes x_j the s-dependent factor splits as
-    e^{4s(m_p + h x_j)} = e^{4s m_p} e^{4s h x_j}: each value of s needs
-    162 panel and nodes_per_panel node exponentials, not one per node.
-    The s-independent weights h w_j e^{N u - 2 pi e^{2u}} are formed once
-    per call.  Each value's sum is, for each node, an np.sum over the
-    panels of its row, then one over the nodes: a fixed order without
-    BLAS, taken for at most _MOMENT_BLOCK values of s at a time, so
-    results do not depend on the block size or the thread count.
+    The rule puts nodes_per_panel Gauss-Legendre nodes x_j on equal
+    panels of pitch delta = (log 5 + 160)/162 (the 162 of [-160, log 5],
+    continued to -inf), with midpoints m_p and one half-width h.  Below
+    the cut, u ~ -20.3, e^{-2 pi e^{2u}} rounds to 1.0 at every node, so
+    with b = 4s + N the flat panels sum exactly to
+    (sum_j h w_j e^{b h x_j}) e^{b m_t} / expm1(b delta), m_t the first
+    midpoint above the cut: correct down to Re(s) -> 0.  Above the cut
+    e^{4s(m_p + h x_j)} = e^{4s m_p} e^{4s h x_j}, so each value of s
+    needs one exponential per panel and per node there.  Each value's sum
+    is, for each node, an np.sum over the panels of its row plus the
+    tail, then one over the nodes: a fixed order without BLAS, taken for
+    at most _MOMENT_BLOCK values of s at a time, so results do not depend
+    on the block size or the thread count.
     """
     if N > _MOMENT_QUADRATURE_MAX_N:
         raise ValueError(f"gaussian_moment_quadrature resolves N <= {_MOMENT_QUADRATURE_MAX_N}, got N = {N}")
     s = _strip_points(s)
+    mid, h, x, weights, tail_w = _moment_panels(N, nodes_per_panel)
+    # the exact pitch: 2h is 7e-15 short, which the tail would build up
+    delta = (math.log(5.0) + 160.0) / 162.0
+    flat = s.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    for i in range(0, flat.size, _MOMENT_BLOCK):
+        s4 = 4.0 * flat[i : i + _MOMENT_BLOCK, None]
+        panel = np.exp(s4 * mid)
+        # e^{4s m_t} is the first panel column; e^{N m_t} is in tail_w
+        tail = panel[:, :1] / np.expm1((s4 + N) * delta)
+        per_node = np.stack([np.sum(panel * row, axis=1) for row in weights], axis=1)
+        per_node += tail * tail_w
+        out[i : i + _MOMENT_BLOCK] = np.sum(per_node * np.exp(s4 * (h * x)), axis=1)
+    return _scalar_or_array(8.0 * np.pi**2 * out.reshape(s.shape), complex)
+
+
+def _moment_panels(N: int, nodes_per_panel: int):
+    """Panels of gaussian_moment_quadrature above the cut: their
+    midpoints (m_t first), the shared half-width h, the nodes x_j, the
+    weights h w_j e^{N u - 2 pi e^{2u}} (one row per node) and the flat
+    tail's node weights h w_j e^{N (m_t + h x_j)}."""
     edges = np.linspace(-160.0, math.log(5.0), 163)
     x, w = legendre_rule(nodes_per_panel)
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -447,15 +471,11 @@ def gaussian_moment_quadrature(N: int, s: ArrayLike, nodes_per_panel: int = 16) 
     # last bits, and the weights and the node factor must share the nodes
     h = 0.5 * (edges[1] - edges[0])
     u = mid[None, :] + h * x[:, None]
-    weights = (h * w)[:, None] * np.exp(N * u - 2.0 * np.pi * np.exp(2.0 * u))
-    flat = s.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    for i in range(0, flat.size, _MOMENT_BLOCK):
-        s4 = 4.0 * flat[i : i + _MOMENT_BLOCK, None]
-        panel = np.exp(s4 * mid)
-        per_node = np.stack([np.sum(panel * row, axis=1) for row in weights], axis=1)
-        out[i : i + _MOMENT_BLOCK] = np.sum(per_node * np.exp(s4 * (h * x)), axis=1)
-    return _scalar_or_array(8.0 * np.pi**2 * out.reshape(s.shape), complex)
+    decay = 2.0 * np.pi * np.exp(2.0 * u)
+    # the cut: the first panel where e^{-decay} differs from 1.0 at a node
+    cut = int(np.argmax(np.any(np.exp(-decay) != 1.0, axis=0)))
+    weights = (h * w)[:, None] * np.exp(N * u[:, cut:] - decay[:, cut:])
+    return mid[cut:], h, x, weights, h * w * np.exp(N * (mid[cut] + h * x))
 
 
 def functional_equation_residual(N: int, s: ArrayLike) -> ArrayLike:

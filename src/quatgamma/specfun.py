@@ -99,11 +99,11 @@ _TRIGAMMA_TAIL = (
     -691.0 / 2730.0,
     7.0 / 6.0,
 )
-_ASYMPTOTIC_RE = 16.0  # first dropped term is ~1e-20 at |z| = 16
+_ASYMPTOTIC_ABS = 16.0  # first dropped term is ~1e-20 at |z| = 16
 
 
 def trigamma(z: ArrayLike) -> ArrayLike:
-    """psi'(z) for Re(z) > 0: recurrence shift to Re >= 16, then the
+    """psi'(z) for Re(z) > 0: recurrence shift to |z| >= 16, then the
     Bernoulli asymptotic series (scipy's polygamma is real-only)."""
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
@@ -111,7 +111,7 @@ def trigamma(z: ArrayLike) -> ArrayLike:
     _check_right_half(w, "trigamma")
     acc = np.zeros_like(w)
     while True:
-        mask = w.real < _ASYMPTOTIC_RE
+        mask = np.abs(w) < _ASYMPTOTIC_ABS
         if not mask.any():
             break
         acc[mask] += 1.0 / w[mask] ** 2

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from quatgamma import additive_oracle
-from quatgamma._quadrature import gauss_panels
+from quatgamma._quadrature import gauss_panels, legendre_rule
 from quatgamma.additive_oracle import (
     G_CONSTANT,
     Grid4D,
@@ -379,7 +379,7 @@ MOMENT_FUNCTIONS = (gaussian_moment, gaussian_moment_quadrature, functional_equa
 
 @pytest.mark.parametrize("N", [0, 3, 6])
 def test_moment_functions_array_matches_scalar_loop(N):
-    # 5 x 7 = 35 strip points: more than one quadrature block of 32
+    # 5 x 7 = 35 strip points in one quadrature block, against 35 scalar calls
     s = np.array([1.0 / 21.0, 0.3, 0.5, 0.77, 20.0 / 21.0])[:, None] + 1j * np.linspace(-2.0, 2.0, 7)
     for fn in MOMENT_FUNCTIONS:
         got = fn(N, s)
@@ -406,11 +406,37 @@ def _moment_quadrature_reference(N, s, nodes_per_panel=16):
 
 @pytest.mark.parametrize("N", range(7))
 def test_moment_quadrature_matches_unfactored_sum(N):
-    # both routes sit at a rounding floor of about 7e-12 against the closed
-    # form; they differ by at most 1.4e-11 relative (N = 0), 8e-13 for N >= 1
+    # the reference stops at u = -160 and sums the flat panels node by node;
+    # the two routes sit within 1.6e-11 of the closed form and differ by at
+    # most 2.0e-11 relative (N = 0), 7.8e-13 for N >= 1
     got = gaussian_moment_quadrature(N, STRIP_GRID)
     want = _moment_quadrature_reference(N, STRIP_GRID)
     assert np.max(np.abs(got - want) / np.abs(want)) < 5e-11
+
+
+def test_moment_quadrature_tail_panels_are_flat():
+    """Every node below the cut has e^{-2 pi e^{2u}} == 1.0, so the flat
+    tail's geometric sum is the panel sum itself; the first panel kept
+    has a node where it is not, and the kept panels are the linspace's."""
+    edges = np.linspace(-160.0, math.log(5.0), 163)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    x, _ = legendre_rule(16)
+    u = mid[None, :] + 0.5 * (edges[1] - edges[0]) * x[:, None]
+    factor = np.exp(-2.0 * np.pi * np.exp(2.0 * u))
+    head = additive_oracle._moment_panels(0, 16)[0]
+    cut = mid.size - head.size
+    assert np.array_equal(head, mid[cut:])
+    assert np.all(factor[:, :cut] == 1.0)
+    assert np.any(factor[:, cut] != 1.0)
+
+
+def test_moment_quadrature_near_re_s_zero():
+    # the flat tail is summed down to u -> -inf, so the N = 0 moment, whose
+    # integrand decays like e^{4 Re(s) u}, stays resolved as Re(s) -> 0
+    s = np.array([0.001, 0.01, 0.03])[:, None] + 1j * np.array([-2.0, 0.0, 2.0])[None, :]
+    closed = gaussian_moment(0, s)
+    err = np.abs(gaussian_moment_quadrature(0, s) - closed) / np.abs(closed)
+    assert np.max(err) < 1e-10
 
 
 @pytest.mark.parametrize("N", [0, 3, 6])

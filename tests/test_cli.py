@@ -246,17 +246,24 @@ def test_functional_eq_residuals(tmp_path):
 
 
 def test_functional_eq_rerun_bit_identical(tmp_path):
-    # 2 x 20 = 40 strip points: the moment quadrature runs in two blocks
-    args = ["functional-eq", "--n-min", "0", "--n-max", "2", "--s-grid", "2x20"]
+    # 7 x 20 = 140 strip points: the moment quadrature runs in two blocks
+    args = ["functional-eq", "--n-min", "0", "--n-max", "2", "--s-grid", "7x20"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     _, _, rows = read_table(a)
-    assert len(rows) == 3 * 40
+    assert len(rows) == 3 * 140
     for row in rows:
         assert float(row[3]) <= 1e-10
         assert float(row[4]) <= 1e-9
+
+
+def test_functional_eq_near_re_s_zero(tmp_path):
+    # abscissae down to Re(s) = 1/101 at Im(s) in {-2, 0, 2}
+    out = tmp_path / "fe.csv"
+    assert main(["functional-eq", "--n-max", "0", "--s-grid", "100x3", "--out", str(out)]) == 0
+    assert read_summary(out)["max_quad_residual"] <= 1e-10
 
 
 def test_functional_eq_refuses_unresolved_sectors(tmp_path):

@@ -122,6 +122,16 @@ def test_trigamma_values_and_recurrence():
         assert abs(trigamma(z) - (trigamma(z + 1.0) + 1.0 / z**2)) <= 1e-13
 
 
+@pytest.mark.parametrize("radius", [15.9, 16.1, 100.0])
+@pytest.mark.parametrize("re_z", [1.0, 1.5, 11.0])
+def test_trigamma_vs_mpmath_across_asymptotic_radius(re_z, radius):
+    # just inside |z| = 16 the recurrence shifts z, just outside it does not
+    z = complex(re_z, math.sqrt(radius**2 - re_z**2))
+    for w in (z, z.conjugate()):
+        ref = complex(mpmath.psi(1, w))
+        assert abs(trigamma(w) - ref) <= 1e-14 * abs(ref)
+
+
 def test_trigamma_vs_digamma_differences():
     rng = np.random.default_rng(61)
     step = 1e-5
