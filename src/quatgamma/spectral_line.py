@@ -20,10 +20,10 @@ e^{-|v|/2} tails (the Gamma-factor pole sits half a unit off the line),
 and legitimate wide-grid intermediates bottom out near 1e-12 without ever
 crossing below it.
 
-Transforms are computed by the chirp-z fast path; the quadrature value
-(trapezoid-on-uniform-grid, which for these decayed profiles is the plain
-Riemann sum) is the contract, and tests check the fast path against
-direct summation.
+Transforms are computed by the chirp-z fast path (_unit_chirp_sum: Bluestein
+at the circular length next_fast_len(p + n_out - 1), the kernel the mirrored
+conjugate chirp, the phases formed directly); the quadrature value (here the
+plain Riemann sum) is the contract, and tests check it against direct sums.
 
 Off the grid, K(v) = (spacing_tau / 2 pi) sum_k psi_k e^{-i tau_k v} is a
 type-2 nonuniform FFT in x = spacing_tau * v (mod 2 pi).  profile_value
@@ -146,19 +146,18 @@ def _check_reciprocity(dv: float, v_half: float, dtau: float, tau_half: float) -
 def _unit_chirp_sum(x: np.ndarray, n_out: int, angle: float) -> np.ndarray:
     """out[k] = sum_n x[n] * e^{i*angle*k*n} for k = 0..n_out-1 (Bluestein).
 
-    Library FFT chirp transforms accumulate phase error ~|angle|*k*n*eps
-    when the chirps are built by repeated powers; here the phases
-    angle*j^2/2 are formed directly (exact floats for the package's
-    power-of-two spacings) so accuracy stays near rounding level.
+    With chirp[j] = e^{i*angle*j^2/2} (phases formed directly, once: exact
+    floats for power-of-two spacings), out = chirp * the circular convolution
+    of x*chirp with conj(chirp[d]) at d < n_out, mirrored to L - d for 0 < d < p,
+    at L = next_fast_len(p + n_out - 1): no wrapped term reaches an output.
     """
     p = len(x)
-    j = np.arange(max(p, n_out), dtype=float)
-    chirp = np.exp(0.5j * angle * j * j)
-    d = np.arange(-(p - 1), n_out, dtype=float)
-    kernel = np.exp(-0.5j * angle * d * d)
-    length = next_fast_len(p + len(kernel) - 1)
-    conv = ifft(fft(x * chirp[:p], length) * fft(kernel, length))
-    return chirp[:n_out] * conv[p - 1 : p - 1 + n_out]
+    length = next_fast_len(p + n_out - 1)
+    chirp = np.exp(0.5j * angle * np.arange(max(p, n_out), dtype=float) ** 2)
+    gap = np.zeros(length - p - n_out + 1)
+    kernel = np.concatenate([chirp[:n_out], gap, chirp[p - 1 : 0 : -1]]).conj()
+    conv = ifft(fft(x * chirp[:p], length) * fft(kernel, overwrite_x=True))
+    return chirp[:n_out] * conv[:n_out]
 
 
 def to_spectral(
@@ -173,8 +172,7 @@ def to_spectral(
     _check_reciprocity(profile.spacing, profile.half_width, spacing, half_width)
     dv, v_half = profile.spacing, profile.half_width
     n_out = int(round(2.0 * half_width / spacing)) + 1
-    p = len(profile.samples)
-    x = profile.samples * np.exp(-1j * half_width * dv * np.arange(p))
+    x = profile.samples * np.exp(-1j * half_width * dv * np.arange(len(profile.samples)))
     vals = _unit_chirp_sum(x, n_out, spacing * dv)
     phase = np.exp(1j * half_width * v_half) * np.exp(
         -1j * spacing * np.arange(n_out) * v_half

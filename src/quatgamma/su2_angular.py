@@ -25,6 +25,8 @@ from typing import Union
 import numpy as np
 from scipy.special import jv
 
+from ._quadrature import legendre_rule
+
 __all__ = [
     "character",
     "AngularQuadrature",
@@ -74,7 +76,7 @@ class AngularQuadrature:
 
 
 def angular_quadrature(n_nodes: int = 64) -> AngularQuadrature:
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = legendre_rule(n_nodes)
     theta = 0.5 * np.pi * (x + 1.0)
     w = 0.5 * np.pi * w * (2.0 / np.pi) * np.sin(theta) ** 2
     return AngularQuadrature(nodes=theta, weights=w)

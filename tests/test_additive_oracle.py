@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from quatgamma import additive_oracle
+from quatgamma import _quadrature, additive_oracle
 from quatgamma._quadrature import gauss_panels, legendre_rule
 from quatgamma.additive_oracle import (
     G_CONSTANT,
@@ -500,6 +500,24 @@ def test_b_dual_route_at_identity(N):
     spectral = value_at_identity(op_B(f))
     convolution = op_b_via_distribution(f)
     assert abs(spectral - convolution) / abs(spectral) < 1e-10
+
+
+def test_dual_routes_reuse_cached_legendre_rules(monkeypatch):
+    # the class averages read su2_angular.angular_quadrature, whose
+    # Gauss-Legendre rule comes from the shared cache after a warm-up call;
+    # numpy's leggauss is patched too, so a direct call would also trip
+    f = gaussian_isotypic(N=1)
+    homogeneity_check(1, 0.5 + 1j, f)
+    op_b_via_distribution(f)
+
+    def rebuild(n):
+        raise AssertionError(f"Gauss-Legendre rule with {n} nodes rebuilt")
+
+    monkeypatch.setattr(_quadrature, "leggauss", rebuild)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", rebuild)
+    assert homogeneity_check(1, 0.5 + 1j, f) < 1e-8
+    spectral = value_at_identity(op_B(f))
+    assert abs(spectral - op_b_via_distribution(f)) / abs(spectral) < 1e-10
 
 
 # ------------------------------------------------------ isotypic sampling

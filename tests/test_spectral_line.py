@@ -3,15 +3,17 @@
 The Gaussian pair K(v) = e^{-v^2/2} <-> psi(tau) = sqrt(2 pi) e^{-tau^2/2}
 is the closed-form anchor; the fast chirp-z path and the NUFFT behind
 profile_value are cross-checked against direct summation
-(_to_spectral_direct, _from_spectral_direct, _profile_value_direct).
+(_to_spectral_direct, _from_spectral_direct, _chirp_sum_direct,
+_profile_value_direct).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
-from quatgamma import AliasingError, DecayError
+from quatgamma import AliasingError, DecayError, spectral_line
 from quatgamma.gamma_op import gamma_transform, gaussian_isotypic, op_B, op_H
 from quatgamma.specfun import gamma_multiplier
 from quatgamma.spectral_line import (
@@ -20,6 +22,7 @@ from quatgamma.spectral_line import (
     DEFAULT_SPECTRAL_HALF_WIDTH,
     DEFAULT_SPECTRAL_SPACING,
     Profile,
+    _unit_chirp_sum,
     evaluate_at_one,
     from_spectral,
     profile_value,
@@ -156,6 +159,53 @@ def test_fast_path_matches_direct_sum():
     back_fast = from_spectral(fast)
     back_slow = _from_spectral_direct(fast, back_fast.spacing, back_fast.half_width)
     assert np.max(np.abs(back_fast.samples - back_slow.samples)) <= 1e-12
+
+
+def _chirp_sum_direct(x: np.ndarray, n_out: int, angle: float, chunk: int = 256) -> np.ndarray:
+    """Reference for _unit_chirp_sum: the chunked direct sum
+    sum_n x[n] e^{i angle k n} (exact phases for a dyadic angle)."""
+    n = np.arange(len(x), dtype=float)
+    out = np.empty(n_out, dtype=complex)
+    for lo in range(0, n_out, chunk):
+        k = np.arange(lo, min(lo + chunk, n_out), dtype=float)
+        out[lo : lo + chunk] = np.exp(1j * angle * np.outer(k, n)) @ x
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, n_out", [(1, 1), (1, 5), (5, 1), (5, 9), (9, 5), (4097, 8193), (8193, 4097)]
+)
+def test_unit_chirp_sum_matches_direct_sum(p, n_out):
+    rng = np.random.default_rng(p + n_out)
+    x = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    angle = DEFAULT_SPECTRAL_SPACING * DEFAULT_LOG_SPACING
+    fast = _unit_chirp_sum(x, n_out, angle)
+    slow = _chirp_sum_direct(x, n_out, angle)
+    bound = 1e-13 * np.sum(np.abs(x))
+    assert fast.shape == (n_out,)
+    # an off-by-one in the circular kernel layout shows first at the ends
+    assert abs(fast[0] - np.sum(x)) <= bound
+    last = np.exp(1j * angle * (n_out - 1) * np.arange(p, dtype=float)) @ x
+    assert abs(fast[-1] - last) <= bound
+    assert np.max(np.abs(fast - slow)) <= bound
+
+
+def test_transforms_run_at_the_shortest_exact_length(monkeypatch):
+    # 8,193 samples each way: the circular convolution needs p + n_out - 1
+    # = 16,385 points, rounded up to the next fast length and no further
+    lengths = []
+    fft = spectral_line.fft
+
+    def recording(a, n=None, **kwargs):
+        lengths.append(len(a) if n is None else n)
+        return fft(a, n, **kwargs)
+
+    monkeypatch.setattr(spectral_line, "fft", recording)
+    psi = to_spectral(Profile.from_function(lambda v: np.exp(-0.5 * v * v), 1.0 / 64.0, 64.0))
+    assert len(psi.samples) == 8193
+    back = from_spectral(psi, 1.0 / 64.0, 64.0)
+    assert len(back.samples) == 8193
+    assert lengths and max(lengths) <= next_fast_len(16385)
 
 
 # ---------------------------------------------------------------- multipliers
