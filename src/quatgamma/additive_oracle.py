@@ -30,6 +30,7 @@ from ._quadrature import gauss_panels, legendre_rule
 from .gamma_op import SQRT_2PI2, IsotypicFunction, op_H, to_additive
 from .quat_core import Quaternion, class_angle
 from .specfun import (
+    G_CONSTANT,
     LOG_2PI,
     ArrayLike,
     _check_strip,
@@ -56,9 +57,6 @@ __all__ = [
     "homogeneity_check",
     "op_b_via_distribution",
 ]
-
-# point-mass weight of the regularized log kernel: 4 log(2 pi) + 4 gamma_e - 2
-G_CONSTANT = 4.0 * LOG_2PI + 4.0 * np.euler_gamma - 2.0
 
 DECAY_SURROGATE_BOUND = 1e-8
 

@@ -538,17 +538,14 @@ def cmd_g_constant(args: argparse.Namespace) -> int:
     if args.tol < 1e-10:
         raise _UsageError("--tol must be at least 1e-10")
 
-    import numpy as np
-
-    from .specfun import LOG_2PI, gamma0_expansion
+    from .specfun import G_CONSTANT, gamma0_expansion
 
     c1, c2 = gamma0_expansion(order=2, tol=args.tol)
-    closed = 4.0 * LOG_2PI + 4.0 * np.euler_gamma - 2.0
     lines = [
         ("epsilon coefficient", c1),
         ("epsilon^2 coefficient", c2),
-        ("closed form", closed),
-        ("difference", abs(c2 - closed)),
+        ("closed form", G_CONSTANT),
+        ("difference", abs(c2 - G_CONSTANT)),
     ]
     for label, value in lines:
         print(f"{label:<22} {format(value, '.17g')}")
@@ -560,8 +557,8 @@ def cmd_g_constant(args: argparse.Namespace) -> int:
                 "duration_seconds": time.monotonic() - start,
                 "epsilon_coefficient": c1,
                 "epsilon2_coefficient": c2,
-                "closed_form": closed,
-                "difference": abs(c2 - closed),
+                "closed_form": G_CONSTANT,
+                "difference": abs(c2 - G_CONSTANT),
             },
         )
     return 0
@@ -582,6 +579,7 @@ def _add_tau_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau-step", type=_finite_float, default=None)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatgamma",
@@ -629,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace_sweep)
 
     p = sub.add_parser("g-constant", help="expansion constant of the moment pole")
-    p.add_argument("--tol", type=_finite_float, default=1e-7, help="extrapolation guard")
+    p.add_argument("--tol", type=_finite_float, default=1e-7, help="largest gap of the 32- and 64-point rules")
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(func=cmd_g_constant)
 

@@ -152,10 +152,10 @@ def test_criterion_06_expansion_constant(capsys):
     _, c2 = gamma0_expansion(order=2)
     closed = 4.0 * LOG_2PI + 4.0 * np.euler_gamma - 2.0
     diff = abs(c2 - closed)
-    ok = diff <= 1e-6 and abs(closed - 7.6603709252) <= 1e-9
+    ok = diff <= 1e-12 and abs(closed - 7.6603709252) <= 1e-9
     verdict(capsys, 6, "expansion constant", ok, f"|c2 - closed| = {diff:.3e}")
     assert abs(closed - 7.6603709252) <= 1e-9
-    assert diff <= 1e-6
+    assert diff <= 1e-12
 
 
 def test_criterion_07_operator_identities(capsys):

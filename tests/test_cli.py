@@ -424,8 +424,8 @@ def test_g_constant_report(tmp_path, capsys):
     report = json.loads(out.read_text(encoding="utf-8"))
     closed = report["closed_form"]
     assert abs(closed - 7.6603709252) <= 1e-9
-    assert abs(report["epsilon2_coefficient"] - closed) <= 1e-6
-    assert abs(report["epsilon_coefficient"] - 1.0) <= 1e-8
+    assert abs(report["epsilon2_coefficient"] - closed) <= 1e-12
+    assert abs(report["epsilon_coefficient"] - 1.0) <= 1e-14
     assert f"{closed:.17g}" in text
 
 
@@ -438,6 +438,15 @@ def test_g_constant_rerun_prints_identically(capsys):
 
 def test_g_constant_tolerance_floor():
     assert main(["g-constant", "--tol", "1e-11"]) == 2
+
+
+def test_parser_is_built_once():
+    # main reuses one parser (test_g_constant_rerun_prints_identically runs
+    # it twice in process); a parse leaves nothing behind for the next
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    assert parser.parse_args(["g-constant", "--tol", "1e-9"]).tol == 1e-9
+    assert parser.parse_args(["g-constant"]).tol == 1e-7
 
 
 # ------------------------------------------------------------------- plumbing

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from quatgamma import NonConvergenceError
+from quatgamma import NonConvergenceError, specfun
 from quatgamma.specfun import (
     LOG_2PI,
     digamma,
@@ -300,26 +300,39 @@ def test_k_bounded_and_monotone_in_n():
 
 def test_gamma0_expansion_coefficients():
     c1, c2 = gamma0_expansion(2)
-    assert abs(c1 - 1.0) <= 1e-10
-    # extraction noise floor leaves ~2e-9; 5e-8 keeps margin
-    assert abs(c2 - EPS2_COEFF) <= 5e-8
-    assert abs(c2 - (-h_multiplier(0, 0.0) - 2.0)) <= 5e-8
+    assert abs(c1 - 1.0) <= 1e-14
+    # the circle rule sits at rounding: about 2e-15 on c2
+    assert abs(c2 - EPS2_COEFF) <= 1e-13
+    assert abs(c2 - (-h_multiplier(0, 0.0) - 2.0)) <= 1e-13
 
 
 def test_gamma0_expansion_third_order():
     c1, c2, c3 = gamma0_expansion(3)
     # hand-derived: (log G)''(0) = 4 psi'(2) - 4 psi'(1) = -4, so
     # c3 = c2^2/2 - 2
-    assert abs(c3 - (EPS2_COEFF**2 / 2.0 - 2.0)) <= 1e-4
+    assert abs(c3 - (c2**2 / 2.0 - 2.0)) <= 1e-12
+    assert abs(c3 - (EPS2_COEFF**2 / 2.0 - 2.0)) <= 1e-12
 
 
 def test_gamma0_expansion_guards():
     with pytest.raises(ValueError):
         gamma0_expansion(4)
-    with pytest.raises(ValueError):
-        gamma0_expansion(2, levels=3)
-    with pytest.raises(NonConvergenceError):
-        gamma0_expansion(2, tol=1e-14)
+    # the 32- and 64-point rules differ by 2e-16 (c1) to 1e-14 (c3)
+    with pytest.raises(NonConvergenceError, match="gamma0_expansion: coefficient c"):
+        gamma0_expansion(3, tol=1e-17)
+
+
+def test_gamma0_expansion_reads_no_polygamma(monkeypatch):
+    # c2 checks the closed form -h_0(0) - 2, so the route must not share
+    # the digamma path behind h_multiplier (nor trigamma, nor gamma_factor)
+    want = gamma0_expansion(3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma0_expansion read a polygamma route")
+
+    for name in ("digamma", "trigamma", "psi", "gamma_factor", "h_multiplier"):
+        monkeypatch.setattr(specfun, name, refuse)
+    assert gamma0_expansion(3) == want
 
 
 # ------------------------------------------------------ multiplier symmetries
