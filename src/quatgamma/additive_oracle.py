@@ -97,18 +97,25 @@ class Grid4D:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex samples on a Grid4D.  Construction enforces the decay
+    """Complex samples on a Grid4D as a table over x0 and an orbit of the
+    last three axes: node (i, j, k, l) holds table[i, orbit[j, k, l]].  A
+    central function needs a column per value of j^2 + k^2 + l^2, any
+    other orbit = arange(M^3).  Construction enforces the decay
     surrogate: every boundary sample below 1e-8 in modulus, so the box
-    truncation error of the transform stays below the advertised grid
-    budget."""
+    truncation error of the transform stays below the grid budget."""
 
     grid: Grid4D
-    values: np.ndarray
+    table: np.ndarray
+    orbit: np.ndarray
 
     def __post_init__(self) -> None:
         m = self.grid.points_per_axis
-        if self.values.shape != (m, m, m, m):
-            raise ValueError("values must have shape (M, M, M, M)")
+        if self.table.ndim != 2 or self.table.shape[0] != m:
+            raise ValueError("table must have shape (M, K)")
+        if self.orbit.shape != (m, m, m):
+            raise ValueError("orbit must have shape (M, M, M)")
+        if not 0 <= self.orbit.min() <= self.orbit.max() < self.table.shape[1]:
+            raise ValueError("orbit entries must index the table's columns")
         if self.boundary_magnitude() > DECAY_SURROGATE_BOUND:
             raise ValueError(
                 f"boundary magnitude {self.boundary_magnitude():.3e} exceeds "
@@ -116,40 +123,54 @@ class GridFunction:
             )
 
     def boundary_magnitude(self) -> float:
-        v = self.values
-        faces = []
-        for axis in range(4):
-            faces.append(np.abs(np.take(v, 0, axis=axis)).max())
-            faces.append(np.abs(np.take(v, -1, axis=axis)).max())
-        return float(max(faces))
+        """Largest modulus on the faces of the M^4 box: rows x0 = +-L at
+        every orbit some offset reaches, and every row at the orbits of
+        the offsets on the faces of the M^3 cube."""
+        k = self.table.shape[1]
+        used, face = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+        used[self.orbit.ravel()] = True
+        face[np.stack([np.take(self.orbit, e, axis=a) for a in range(3) for e in (0, -1)])] = True
+        rows = np.abs(self.table[[0, -1]][:, used]).max()
+        return float(max(rows, np.abs(self.table[:, face]).max()))
 
     @classmethod
     def from_function(
         cls, grid: Grid4D, fn: Callable[[np.ndarray], np.ndarray]
     ) -> "GridFunction":
-        """Sample fn, which maps an (n, 4) coordinate array to n values.
-        The coordinates are one (4, M, M, M, M) array filled by broadcasting
-        the axis (no per-axis meshgrid copies), handed to fn as its
-        (M^4, 4) transpose, so each coordinate column is contiguous."""
+        """Sample fn, which maps an (n, 4) array with contiguous columns to
+        n values point by point.  fn is called on one x0 slab of M^3
+        points at a time, each written into a row of an (M, M^3) table
+        with orbit = arange(M^3); no M^4 coordinate array is built."""
         ax = grid.axis()
         m = grid.points_per_axis
-        coords = np.empty((4, m, m, m, m))
-        for k in range(4):
+        coords = np.empty((4, m, m, m))
+        for k in range(1, 4):
             coords[k] = ax.reshape((m,) + (1,) * (3 - k))
-        vals = np.asarray(fn(coords.reshape(4, -1).T), dtype=complex)
-        return cls(grid, vals.reshape(m, m, m, m))
+        pts = coords.reshape(4, -1).T
+        table = np.empty((m, m**3), dtype=complex)
+        for i, x0 in enumerate(ax):
+            pts[:, 0] = x0
+            table[i] = np.reshape(fn(pts), m**3)
+        return cls(grid, table, np.arange(m**3).reshape(m, m, m))
+
+
+def _central_orbits(grid: Grid4D):
+    """x0 and n(x) = x0^2 + h^2 s on the M x (3c^2 + 1) table of a central
+    function, c = M//2, and the orbit s = j^2 + k^2 + l^2 of each offset
+    (j, k, l): a central sample depends only on x0 and s."""
+    m = grid.points_per_axis
+    c = m // 2
+    sq = np.arange(-c, c + 1) ** 2
+    x0 = np.broadcast_to(grid.axis()[:, None], (m, 3 * c * c + 1))
+    n = x0 * x0 + (grid.spacing * grid.spacing) * np.arange(3 * c * c + 1)
+    return x0, n, sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
 
 
 def omega_grid_function(grid: Grid4D) -> GridFunction:
-    """The self-dual Gaussian e^{-2 pi n(x)}, built separably and exactly:
-    the outer product ((g g) g) g of the 1D factor, the last product
-    written straight into the complex result, so no real M^4 array is
-    made and copied."""
-    g1 = np.exp(-2.0 * np.pi * grid.axis() ** 2)
-    m = grid.points_per_axis
-    vals = np.empty((m, m, m, m), dtype=complex)
-    np.multiply(np.multiply.outer(np.multiply.outer(g1, g1), g1)[..., None], g1, out=vals)
-    return GridFunction(grid, vals)
+    """The self-dual Gaussian e^{-2 pi n(x)}, one exponential per entry of
+    the (x0, s) table."""
+    _, n, orbit = _central_orbits(grid)
+    return GridFunction(grid, np.exp(-2.0 * np.pi * n).astype(complex), orbit)
 
 
 def isotypic_grid_function(grid: Grid4D, f: IsotypicFunction) -> GridFunction:
@@ -160,25 +181,17 @@ def isotypic_grid_function(grid: Grid4D, f: IsotypicFunction) -> GridFunction:
     than evaluated by profile_value, so that the 4D oracle stays
     independent of the spectral line's off-grid evaluation it checks.
 
-    A sample depends only on x0 and n(x).  On the odd, origin-centred grid
-    n(x) = x0^2 + h^2 s with s = j^2 + k^2 + l^2 over the integer offsets
-    of the other three axes, so s takes at most 3c^2 + 1 values (c = M//2).
-    The spline, the |v| <= half_width cutoff and the character are
-    evaluated once per orbit on an M x (3c^2 + 1) table, which is then
-    gathered onto the M^4 nodes through one flat index, so the result is
-    C-contiguous.  At dyadic spacing the samples are bitwise those of a
-    per-node evaluation; otherwise they differ in the last bits of n.
+    A sample depends only on x0 and n(x), so the spline, the
+    |v| <= half_width cutoff and the character are evaluated once per
+    entry of the M x (3c^2 + 1) (x0, s) table, which is the result's
+    table.  At dyadic spacing the samples are bitwise those of a per-node
+    evaluation; otherwise they differ in the last bits of n.
     """
     from scipy.interpolate import CubicSpline
 
     k = f.log_profile
     spline = CubicSpline(k.grid, k.samples)
-    m = grid.points_per_axis
-    c = m // 2
-    h = grid.spacing
-    orbits = 3 * c * c + 1
-    x0 = np.broadcast_to(grid.axis()[:, None], (m, orbits))
-    n = x0 * x0 + (h * h) * np.arange(orbits)
+    x0, n, orbit = _central_orbits(grid)
     table = np.zeros(n.shape, dtype=complex)
     nz = n > 0.0
     v = np.empty_like(n)
@@ -188,10 +201,7 @@ def isotypic_grid_function(grid: Grid4D, f: IsotypicFunction) -> GridFunction:
     table[inside] = (
         character(f.N, theta) * spline(v[inside]) / (SQRT_2PI2 * n[inside])
     )
-    sq = np.arange(-c, c + 1) ** 2
-    s = (sq[:, None, None] + sq[None, :, None] + sq[None, None, :]).ravel()
-    flat = (orbits * np.arange(m)[:, None] + s[None, :]).ravel()
-    return GridFunction(grid, table.ravel()[flat].reshape(m, m, m, m))
+    return GridFunction(grid, table, orbit)
 
 
 def _probe_coords(probe: Union[Quaternion, Sequence[float]]) -> np.ndarray:
@@ -204,16 +214,15 @@ def brute_fourier(
     phi: GridFunction, probes: Sequence[Union[Quaternion, Sequence[float]]]
 ) -> np.ndarray:
     """Riemann-sum transform sum phi(x_m) e^{4 pi i Re(x_m y)} 4h^4 at each
-    probe.  The phase is separable across the four axes, so each probe
-    costs one tensordot chain over the M^4 array, never an M^4 x M^4 map.
+    probe, never an M^4 x M^4 map and never an M^4 array.
 
-    The probes are stacked once and the phases of every probe and axis
-    come from one exponential.  The contraction itself stays one chain
-    per probe: folding axis 0 of all probes into one matrix product halves
-    a six-probe call at M = 33 but changes the summation order, and with
-    it the last digits of the self-dual Gaussian's error (about 3e-12 at
-    M = 33, itself a rounding-level figure), so the per-probe order is
-    kept and the result is bitwise that of a separate call per probe.
+    The phase is separable across the four axes.  For each probe the
+    phase of the last three axes is formed on the M^3 offsets and summed
+    over each orbit by one bincount, T_y = bincount(orbit, phase), so the
+    transform is 4h^4 p0^T table T_y, with p0 the x0 phase.  The phases
+    of every probe and axis come from one exponential; the contraction
+    stays one per probe, so a stacked call is bitwise a separate call per
+    probe.
     """
     ax = phi.grid.axis()
     h = phi.grid.spacing
@@ -221,12 +230,13 @@ def brute_fourier(
     signs = np.array([1.0, -1.0, -1.0, -1.0])
     # phases[p, k] = e^{4 pi i sign_k y_pk x} along the axis x
     phases = np.exp(4j * np.pi * (signs * y)[:, :, None] * ax)
+    orbit = phi.orbit.ravel()
+    k = phi.table.shape[1]
     out = np.empty(len(y), dtype=complex)
-    for i, probe_phases in enumerate(phases):
-        acc = phi.values
-        for phase in probe_phases:
-            acc = np.tensordot(acc, phase, axes=([0], [0]))
-        out[i] = 4.0 * h**4 * acc
+    for i, (p0, p1, p2, p3) in enumerate(phases):
+        offsets = np.multiply.outer(np.multiply.outer(p1, p2), p3).ravel()
+        t_y = np.bincount(orbit, offsets.real, k) + 1j * np.bincount(orbit, offsets.imag, k)
+        out[i] = 4.0 * h**4 * (p0 @ (phi.table @ t_y))
     return out
 
 

@@ -53,11 +53,11 @@ _THREAD_VARS = (
 # from the arguments before any allocation
 _MAX_TABLE_ROWS = 1_000_000
 
-# largest oracle-check box, M = 67 (2.0e7 points); the command holds about
-# two complex M^4 arrays at once (the samples and one transposed copy inside
-# the contraction), so 32 bytes per point
-_MAX_ORACLE_GRID_M = 67
-_ORACLE_BYTES_PER_POINT = 32
+# largest oracle-check box, M = 209: the command's tracemalloc peak is about
+# 70 bytes per M^3 (orbit indices, (x0, s) tables and the sampler's temporaries
+# on them), 0.64 GB at M = 209, within the 0.65 GB of 67^4 points at 32 bytes
+_MAX_ORACLE_GRID_M = 209
+_ORACLE_BYTES_PER_CUBE = 70
 
 # largest trace_direct run, in bytes of its fine-pass node arrays (see
 # _trace_direct_bytes); peak RSS of a warmed-up process grew by 96 to 98
@@ -430,11 +430,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.grid_l <= 0.0:
         raise _UsageError("--grid-l must be positive")
     if args.grid_m > _MAX_ORACLE_GRID_M:
-        points = args.grid_m**4
+        cube = args.grid_m**3
         raise _UsageError(
-            f"--grid-m {args.grid_m} asks for {points:.3g} grid points, about "
-            f"{_ORACLE_BYTES_PER_POINT * points / 1e9:.1f} GB; the limit is "
-            f"--grid-m {_MAX_ORACLE_GRID_M} ({_MAX_ORACLE_GRID_M**4:.3g} points)"
+            f"--grid-m {args.grid_m} needs about {_ORACLE_BYTES_PER_CUBE * cube / 1e9:.2f} GB "
+            f"({args.grid_m}^3 = {cube:.3g} at {_ORACLE_BYTES_PER_CUBE} bytes each); the limit is "
+            f"--grid-m {_MAX_ORACLE_GRID_M}"
         )
 
     import numpy as np

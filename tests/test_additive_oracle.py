@@ -13,6 +13,7 @@ Closed-form anchors used here:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,15 +83,29 @@ def _isotypic_grid_function_direct(grid, f):
     return out.reshape(m, m, m, m)
 
 
+def _from_samples(grid, values):
+    """A generic GridFunction holding an M^4 sample array: one table
+    column per offset of the last three axes."""
+    m = grid.points_per_axis
+    return GridFunction(grid, values.reshape(m, m**3), np.arange(m**3).reshape(m, m, m))
+
+
+def _expand(phi):
+    """The M^4 samples of a GridFunction."""
+    return phi.table[:, phi.orbit]
+
+
 def _brute_fourier_direct(phi, probes):
-    """Reference for brute_fourier: one tensordot chain per probe."""
+    """Reference for brute_fourier: one tensordot chain per probe over
+    the expanded M^4 samples."""
     ax = phi.grid.axis()
     h = phi.grid.spacing
     signs = (1.0, -1.0, -1.0, -1.0)
+    values = _expand(phi)
     out = np.empty(len(probes), dtype=complex)
     for i, probe in enumerate(probes):
         y = np.asarray(probe.coords if isinstance(probe, Quaternion) else probe, dtype=float)
-        acc = phi.values
+        acc = values
         for sign, yc in zip(signs, y):
             phase = np.exp(4j * np.pi * sign * yc * ax)
             acc = np.tensordot(acc, phase, axes=([0], [0]))
@@ -130,10 +145,41 @@ def test_grid_validation():
 def test_grid_function_enforces_decay(box):
     m = box.points_per_axis
     rng = np.random.default_rng(7)
-    with pytest.raises(ValueError):
-        GridFunction(box, rng.normal(size=(m, m, m, m)).astype(complex))
-    with pytest.raises(ValueError):
-        GridFunction(box, np.zeros((m, m, m)))
+    with pytest.raises(ValueError, match="decay surrogate"):
+        _from_samples(box, rng.normal(size=(m, m, m, m)).astype(complex))
+    # a central sample: e^{-2 pi L^2} is 1.3e-8 at L = 1.7, over the bound
+    with pytest.raises(ValueError, match="decay surrogate"):
+        omega_grid_function(Grid4D(1.7, 17))
+    orbit = np.zeros((m, m, m), dtype=int)
+    with pytest.raises(ValueError, match="table"):
+        GridFunction(box, np.zeros((m - 1, 4), dtype=complex), orbit)
+    with pytest.raises(ValueError, match="orbit"):
+        GridFunction(box, np.zeros((m, 4), dtype=complex), orbit[0])
+    for bad in (-1, 4):
+        orbit[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="orbit"):
+            GridFunction(box, np.zeros((m, 4), dtype=complex), orbit)
+
+
+def test_boundary_magnitude_is_the_face_maximum(box):
+    # rows x0 = +-L and the face offsets' orbits are exactly the M^4
+    # faces; a central table has columns no offset reaches (s = 7), which
+    # must not count
+    phis = [omega_grid_function(box), isotypic_grid_function(box, _pin_profile(1))]
+    # generic samples with the face maximum off, then on, the x0 = +-L rows
+    noise = _damped_random_samples(box, seed=13)
+    for rows in (np.s_[[0, -1]], np.s_[1:-1]):
+        table = noise.table.copy()
+        table[rows] *= 0.5
+        phis.append(GridFunction(box, table, noise.orbit))
+    for phi in phis:
+        v = _expand(phi)
+        faces = max(np.abs(np.take(v, e, axis=a)).max() for a in range(4) for e in (0, -1))
+        assert phi.boundary_magnitude() == faces
+    omega = phis[0]
+    table = omega.table.copy()
+    table[:, 7] = 1.0
+    assert GridFunction(box, table, omega.orbit).boundary_magnitude() == omega.boundary_magnitude()
 
 
 def test_from_function_coordinate_order():
@@ -144,18 +190,45 @@ def test_from_function_coordinate_order():
         tilt = pts[:, 0] - 2.0 * pts[:, 1] + 3.0 * pts[:, 2] + 0.5 * pts[:, 3]
         return tilt * np.exp(-4.0 * np.pi * np.sum(pts**2, axis=1))
 
-    got = GridFunction.from_function(grid, fn).values
+    seen = []
+
+    def recording(pts):
+        seen.append((pts.shape, all(pts[:, k].flags.c_contiguous for k in range(4))))
+        return fn(pts)
+
+    got = _expand(GridFunction.from_function(grid, recording))
     ax = grid.axis()
     pts = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
     assert np.array_equal(got, fn(pts).reshape(got.shape).astype(complex))
+    # one x0 slab of M^3 points per call, each column contiguous
+    assert seen == [((9**3, 4), True)] * 9
+
+
+def test_grid_sampling_memory():
+    # no M^4 array: from_function holds the (M, M^3) table (19 MB at
+    # M = 33) and one slab; the transform of a central table at M = 65
+    # holds M^3 phases, where the M^4 samples alone would be 285 MB
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grid = Grid4D(2.0, 33)
+    assert peak(lambda: GridFunction.from_function(grid, omega_exact)) < 30e6
+    probes = seeded_probes(6, 0.2, 1.0, seed=3)
+    assert peak(lambda: brute_fourier(omega_grid_function(Grid4D(2.0, 65)), probes)) < 20e6
 
 
 def test_omega_grid_values(box, omega_sampled):
     m = box.points_per_axis
-    assert omega_sampled.values[m // 2, m // 2, m // 2, m // 2] == 1.0
+    values = _expand(omega_sampled)
+    assert values[m // 2, m // 2, m // 2, m // 2] == 1.0
     ax = box.axis()
     want = math.exp(-2.0 * math.pi * (ax[3] ** 2 + ax[20] ** 2 + ax[8] ** 2 + ax[30] ** 2))
-    assert abs(omega_sampled.values[3, 20, 8, 30] - want) < 1e-15
+    assert abs(values[3, 20, 8, 30] - want) < 1e-15
 
 
 # ---------------------------------------------------------- brute transform
@@ -175,7 +248,7 @@ def test_brute_omega_total_mass(omega_sampled):
 
 def test_brute_zero_function(box):
     m = box.points_per_axis
-    zero = GridFunction(box, np.zeros((m, m, m, m), dtype=complex))
+    zero = _from_samples(box, np.zeros((m, m, m, m), dtype=complex))
     got = brute_fourier(zero, seeded_probes(4, 0.2, 1.0, seed=5))
     assert np.all(got == 0.0)
 
@@ -197,9 +270,25 @@ def _damped_random_samples(box, seed):
     # surrogate holds and the transform has no special structure
     rng = np.random.default_rng(seed)
     m = box.points_per_axis
-    env = omega_grid_function(box).values.real
+    env = _expand(omega_grid_function(box)).real
     noise = rng.normal(size=(m,) * 4) + 1j * rng.normal(size=(m,) * 4)
-    return GridFunction(box, noise * env)
+    return _from_samples(box, noise * env)
+
+
+@pytest.mark.parametrize("sample", ["omega", "random"] + [f"pin{n}-{L}" for n in (0, 1, 2, 5) for L in (2.0, 1.7)])
+def test_brute_matches_tensordot_chain(box, sample):
+    # the orbit sums reorder the Riemann sum, so agreement is to rounding
+    if sample == "omega":
+        phi = omega_grid_function(box)
+    elif sample == "random":
+        phi = _damped_random_samples(box, seed=47)
+    else:
+        n, L = sample[3:].split("-")
+        phi = isotypic_grid_function(Grid4D(float(L), 33), _pin_profile(int(n)))
+    probes = seeded_probes(6, 0.1, 1.2, seed=53)
+    got = brute_fourier(phi, probes)
+    want = _brute_fourier_direct(phi, probes)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_brute_stacked_probes_match_per_probe_loop(box):
@@ -209,9 +298,9 @@ def test_brute_stacked_probes_match_per_probe_loop(box):
     cases = [quats, seqs, np.array(seqs), quats[:1], seqs[2:3]]
     for probes in cases:
         got = brute_fourier(phi, probes)
-        want = _brute_fourier_direct(phi, probes)
+        want = np.array([brute_fourier(phi, [p])[0] for p in probes])
         assert got.shape == (len(probes),)
-        # same contraction order per probe: equal, not merely close
+        # one contraction per probe: equal, not merely close
         assert np.array_equal(got, want)
     empty = brute_fourier(phi, [])
     assert empty.shape == (0,) and empty.dtype == complex
@@ -223,17 +312,17 @@ def test_brute_linearity_and_conjugate_symmetry(box):
     m = box.points_per_axis
     # random samples damped by the Gaussian envelope so the decay
     # surrogate holds
-    env = omega_grid_function(box).values.real
-    a = GridFunction(box, (rng.normal(size=(m,) * 4) + 1j * rng.normal(size=(m,) * 4)) * env)
-    b = GridFunction(box, (rng.normal(size=(m,) * 4) + 1j * rng.normal(size=(m,) * 4)) * env)
-    combo = GridFunction(box, 0.7 * a.values + (2.0 - 0.5j) * b.values)
+    env = _expand(omega_grid_function(box)).real
+    a = _from_samples(box, (rng.normal(size=(m,) * 4) + 1j * rng.normal(size=(m,) * 4)) * env)
+    b = _from_samples(box, (rng.normal(size=(m,) * 4) + 1j * rng.normal(size=(m,) * 4)) * env)
+    combo = GridFunction(box, 0.7 * a.table + (2.0 - 0.5j) * b.table, a.orbit)
     probes = seeded_probes(4, 0.3, 1.0, seed=37)
 
     fa, fb, fc = (brute_fourier(g, probes) for g in (a, b, combo))
     assert np.max(np.abs(fc - 0.7 * fa - (2.0 - 0.5j) * fb)) < 1e-12
 
     mirrored = [Quaternion(*(-np.asarray(p.coords))) for p in probes]
-    f_conj = brute_fourier(GridFunction(box, np.conj(a.values)), probes)
+    f_conj = brute_fourier(GridFunction(box, np.conj(a.table), a.orbit), probes)
     assert np.max(np.abs(f_conj - np.conj(brute_fourier(a, mirrored)))) < 1e-12
 
 
@@ -540,7 +629,7 @@ def test_isotypic_grid_sampling_matches_exact(box):
     assert np.max(np.abs(via_spline - exact)) < 1e-7
 
     m = box.points_per_axis
-    assert sampled.values[m // 2, m // 2, m // 2, m // 2] == 0.0
+    assert _expand(sampled)[m // 2, m // 2, m // 2, m // 2] == 0.0
 
 
 def test_multiplier_route_matches_brute_transform(box):
@@ -575,9 +664,8 @@ def test_isotypic_orbit_table_matches_per_node(N, L):
     f = _pin_profile(N)
     for m in (3, 5, 17, 33):
         grid = Grid4D(L, m)
-        got = isotypic_grid_function(grid, f).values
+        got = _expand(isotypic_grid_function(grid, f))
         want = _isotypic_grid_function_direct(grid, f)
-        assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         if L == 2.0:
             assert np.array_equal(got, want)
@@ -590,7 +678,7 @@ def test_isotypic_orbit_table_cutoff(L):
     # where the spline would extrapolate to non-zero values
     f = _pin_profile(1, centre=0.0, width=0.2, v_half_width=1.5)
     grid = Grid4D(L, 17)
-    got = isotypic_grid_function(grid, f).values
+    got = _expand(isotypic_grid_function(grid, f))
     want = _isotypic_grid_function_direct(grid, f)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     ax = grid.axis()

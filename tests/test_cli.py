@@ -344,11 +344,20 @@ def test_oracle_check_validation(tmp_path):
 
 
 def test_oracle_check_refuses_oversized_grid(capsys):
-    # refused from the arguments alone: a 101^4 box is never built
-    assert main(["oracle-check", "--grid-m", "101"]) == 2
+    # refused from the arguments alone: no 211^3 table is built
+    assert main(["oracle-check", "--grid-m", "211"]) == 2
     err = capsys.readouterr().err
-    assert "--grid-m 101" in err and "GB" in err
-    assert main(["oracle-check", "--grid-m", "69"]) == 2
+    assert "--grid-m 211" in err and "GB" in err and "211^3" in err
+    assert main(["oracle-check", "--grid-m", "1001"]) == 2
+
+
+def test_oracle_check_accepts_grid_above_old_limit(capsys):
+    # 69 was refused while the command built M^4 arrays
+    assert main(["oracle-check", "--grid-m", "69", "--probes", "2", "--seed", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["manifest"]["grid_m"] == 69
+    assert report["self_dual_error"] <= 1e-10
+    assert max(report["multiplier_vs_brute"].values()) <= 1e-7
 
 
 # ---------------------------------------------------------------- trace-sweep

@@ -164,7 +164,7 @@ def test_character_values():
     rng = np.random.default_rng(23)
     probes = [Quaternion(*rng.uniform(-1.0, 1.0, 4)) for _ in range(5)]
     probes.append(Quaternion(0.5))  # Re(x y) = 1/4: the kernel is -1
-    got = brute_fourier(GridFunction(box, values), probes)
+    got = brute_fourier(GridFunction(box, values.reshape(7, -1), np.arange(7**3).reshape(7, 7, 7)), probes)
     want = [4.0 * box.spacing**4 * _character(mul(x, y)).conjugate() for y in probes]
     assert np.max(np.abs(got - want)) <= 1e-14
     assert abs(got[-1] + 4.0 * box.spacing**4) <= 1e-15
