@@ -68,6 +68,23 @@ _MOMENT_BLOCK = 128
 # largest N gaussian_moment_quadrature resolves (see its docstring)
 _MOMENT_QUADRATURE_MAX_N = 11
 
+# Gauss-Legendre nodes per panel of the moment quadrature and of the
+# regularized radial layout
+_PANEL_NODES = 16
+
+# the regularized radial layout: inner panels on [_LOG_FLOOR, 0] in
+# u = 4 log r, outer panels up to r = _RADIAL_R_MAX, _ANGULAR_NODES class
+# nodes per radius
+_LOG_FLOOR = -96.0
+_RADIAL_R_MAX = 64.0
+_ANGULAR_NODES = 64
+
+# radial_fourier starts at 128 nodes and doubles at most this often
+_RADIAL_MAX_DOUBLINGS = 8
+
+# homogeneity_check's u-spacing: from 0, a subset of the native 1/64 v-nodes
+_HOMOGENEITY_U_SPACING = 1.0 / 32.0
+
 
 # ------------------------------------------------------------------ 4D grids
 
@@ -246,7 +263,6 @@ def radial_fourier(
     probes: Sequence[Union[Quaternion, Sequence[float]]],
     r_max: float = 6.0,
     tol: float = 1e-10,
-    max_doublings: int = 8,
 ) -> np.ndarray:
     """Transform of chi_N(theta) * radial(r) by the radial-angular
     reduction: the angular integral collapses to the class-measure Bessel
@@ -258,7 +274,8 @@ def radial_fourier(
     with rho_y the Euclidean radius of the probe.  The conjugate appears
     because the probe kernel e^{+4 pi i Re(xy)} carries the opposite phase
     sign from the class-measure Bessel integral.  Gauss-Legendre node count
-    doubles until two refinements agree within tol.
+    doubles from 128 until two refinements agree within tol, at most
+    _RADIAL_MAX_DOUBLINGS times.
     """
     if r_max <= 0:
         raise ValueError("r_max must be positive")
@@ -274,7 +291,7 @@ def radial_fourier(
 
     prev = None
     n = 128
-    for _ in range(max_doublings + 1):
+    for _ in range(_RADIAL_MAX_DOUBLINGS + 1):
         x, w = legendre_rule(n)
         r = 0.5 * r_max * (x + 1.0)
         wr = 0.5 * r_max * w
@@ -290,7 +307,7 @@ def radial_fourier(
         prev = vals
         n *= 2
     raise QuadratureError(
-        f"radial transform did not converge to {tol} within {max_doublings} doublings"
+        f"radial transform did not converge to {tol} within {_RADIAL_MAX_DOUBLINGS} doublings"
     )
 
 
@@ -312,18 +329,15 @@ def _class_average(
 
 def _regularized_radial(
     phi: Callable[[np.ndarray], np.ndarray],
-    phi_zero: Union[complex, None],
-    r_max: float,
     log_floor: float,
     nodes_per_panel: int,
     angular_nodes: int,
 ):
     """Shared quadrature layout for the regularized radial integrals: the
     flattened variable u = 4 log r, inner panels on [log_floor, 0] (the
-    subtracted unit ball) and outer panels on [0, 4 log r_max]."""
-    if phi_zero is None:
-        phi_zero = complex(np.asarray(phi(np.zeros((1, 4))), dtype=complex)[0])
-    u_top = 4.0 * math.log(r_max)
+    subtracted unit ball) and outer panels on [0, 4 log _RADIAL_R_MAX]."""
+    phi_zero = complex(np.asarray(phi(np.zeros((1, 4))), dtype=complex)[0])
+    u_top = 4.0 * math.log(_RADIAL_R_MAX)
     inner_edges = np.linspace(log_floor, 0.0, max(2, int(math.ceil(-log_floor / 2.0))) + 1)
     outer_edges = np.linspace(0.0, u_top, max(2, int(math.ceil(u_top / 2.0))) + 1)
     u_in, w_in = gauss_panels(inner_edges, nodes_per_panel)
@@ -335,11 +349,9 @@ def _regularized_radial(
 
 def distribution_G(
     phi: Callable[[np.ndarray], np.ndarray],
-    phi_zero: Union[complex, None] = None,
-    r_max: float = 64.0,
-    log_floor: float = -96.0,
-    nodes_per_panel: int = 16,
-    angular_nodes: int = 64,
+    log_floor: float = _LOG_FLOOR,
+    nodes_per_panel: int = _PANEL_NODES,
+    angular_nodes: int = _ANGULAR_NODES,
 ) -> complex:
     """The regularized log-weight distribution
 
@@ -347,43 +359,35 @@ def distribution_G(
                + int_{|x|>1} phi dx/(2 pi^2 |x|)
                + G_CONSTANT * phi(0).
 
-    phi must be central (a class function in the angular variable); the
-    weight dx/(2 pi^2 |x|) flattens to du under u = 4 log r.  phi_zero may
-    be supplied when phi cannot be evaluated at the origin.
+    phi must be central (a class function in the angular variable) and
+    defined at the origin; the weight dx/(2 pi^2 |x|) flattens to du under
+    u = 4 log r.  The layout: nodes_per_panel Gauss-Legendre nodes on
+    panels at most 2 wide in u, from log_floor up to 0 (the subtracted
+    unit ball) and from 0 up to the fixed r = 64, with angular_nodes
+    class-measure nodes per radius.
     """
-    phi0, inner, outer = _regularized_radial(
-        phi, phi_zero, r_max, log_floor, nodes_per_panel, angular_nodes
-    )
+    phi0, inner, outer = _regularized_radial(phi, log_floor, nodes_per_panel, angular_nodes)
     u_in, w_in, avg_in = inner
     u_out, w_out, avg_out = outer
     value = np.sum(w_in * (avg_in - phi0)) + np.sum(w_out * avg_out)
     return complex(value + G_CONSTANT * phi0)
 
 
-def delta_s(
-    s: complex,
-    phi: Callable[[np.ndarray], np.ndarray],
-    phi_zero: Union[complex, None] = None,
-    r_max: float = 64.0,
-    log_floor: float = -96.0,
-    nodes_per_panel: int = 16,
-    angular_nodes: int = 64,
-) -> complex:
+def delta_s(s: complex, phi: Callable[[np.ndarray], np.ndarray]) -> complex:
     """The homogeneous distribution
 
         Delta_s(phi) = int_{|x|<=1} (phi - phi(0)) |x|^{s-1} dx
                      + int_{|x|>1} phi |x|^{s-1} dx + (2 pi^2/s) phi(0),
 
     defined for Re(s) > -1/4, s != 0.  In the flattened variable the
-    weight is 2 pi^2 e^{su} du; quadrature accuracy is validated for s in
-    the open strip 0 < Re(s) < 1, where all tests evaluate.
+    weight is 2 pi^2 e^{su} du on distribution_G's default layout;
+    quadrature accuracy is validated for s in the open strip
+    0 < Re(s) < 1, where all tests evaluate.
     """
     s = complex(s)
     if s == 0 or s.real <= -0.25:
         raise ValueError("s must satisfy Re(s) > -1/4 and s != 0")
-    phi0, inner, outer = _regularized_radial(
-        phi, phi_zero, r_max, log_floor, nodes_per_panel, angular_nodes
-    )
+    phi0, inner, outer = _regularized_radial(phi, _LOG_FLOOR, _PANEL_NODES, _ANGULAR_NODES)
     u_in, w_in, avg_in = inner
     u_out, w_out, avg_out = outer
     value = np.sum(w_in * np.exp(s * u_in) * (avg_in - phi0))
@@ -398,6 +402,12 @@ def _strip_points(s: ArrayLike) -> np.ndarray:
     arr = np.asarray(s, dtype=complex)
     _check_strip(arr)
     return arr
+
+
+def _moment_points(N: int, s: ArrayLike) -> np.ndarray:
+    if N < 0:
+        raise ValueError("angular mode N must be >= 0")
+    return _strip_points(s)
 
 
 def _scalar_or_array(out, kind: type):
@@ -416,13 +426,13 @@ def gaussian_moment(N: int, s: ArrayLike) -> ArrayLike:
     array of any shape, every element in the open strip 0 < Re(s) < 1;
     an array comes back with its shape, a scalar as a Python complex.
     """
-    s = _strip_points(s)
+    s = _moment_points(N, s)
     a = 2.0 * s + 0.5 * N
     out = 4.0 * np.pi**2 * np.exp(-a * LOG_2PI + log_gamma(a))
     return _scalar_or_array(out, complex)
 
 
-def gaussian_moment_quadrature(N: int, s: ArrayLike, nodes_per_panel: int = 16) -> ArrayLike:
+def gaussian_moment_quadrature(N: int, s: ArrayLike) -> ArrayLike:
     """The same moment by direct radial quadrature in u = log r:
 
         8 pi^2 int e^{(4s+N)u} e^{-2 pi e^{2u}} du
@@ -434,7 +444,7 @@ def gaussian_moment_quadrature(N: int, s: ArrayLike, nodes_per_panel: int = 16) 
     _MOMENT_QUADRATURE_MAX_N = 11 raises ValueError.
 
     s may be a scalar or an array of any shape, as in gaussian_moment.
-    The rule puts nodes_per_panel Gauss-Legendre nodes x_j on equal
+    The rule puts _PANEL_NODES = 16 Gauss-Legendre nodes x_j on equal
     panels of pitch delta = (log 5 + 160)/162 (the 162 of [-160, log 5],
     continued to -inf), with midpoints m_p and one half-width h.  Below
     the cut, u ~ -20.3, e^{-2 pi e^{2u}} rounds to 1.0 at every node, so
@@ -450,8 +460,8 @@ def gaussian_moment_quadrature(N: int, s: ArrayLike, nodes_per_panel: int = 16) 
     """
     if N > _MOMENT_QUADRATURE_MAX_N:
         raise ValueError(f"gaussian_moment_quadrature resolves N <= {_MOMENT_QUADRATURE_MAX_N}, got N = {N}")
-    s = _strip_points(s)
-    mid, h, x, weights, tail_w = _moment_panels(N, nodes_per_panel)
+    s = _moment_points(N, s)
+    mid, h, x, weights, tail_w = _moment_panels(N)
     # the exact pitch: 2h is 7e-15 short, which the tail would build up
     delta = (math.log(5.0) + 160.0) / 162.0
     flat = s.ravel()
@@ -467,13 +477,13 @@ def gaussian_moment_quadrature(N: int, s: ArrayLike, nodes_per_panel: int = 16) 
     return _scalar_or_array(8.0 * np.pi**2 * out.reshape(s.shape), complex)
 
 
-def _moment_panels(N: int, nodes_per_panel: int):
+def _moment_panels(N: int):
     """Panels of gaussian_moment_quadrature above the cut: their
     midpoints (m_t first), the shared half-width h, the nodes x_j, the
     weights h w_j e^{N u - 2 pi e^{2u}} (one row per node) and the flat
     tail's node weights h w_j e^{N (m_t + h x_j)}."""
     edges = np.linspace(-160.0, math.log(5.0), 163)
-    x, w = legendre_rule(nodes_per_panel)
+    x, w = legendre_rule(_PANEL_NODES)
     mid = 0.5 * (edges[1:] + edges[:-1])
     # one half-width for every panel: the linspace widths differ in their
     # last bits, and the weights and the node factor must share the nodes
@@ -498,44 +508,31 @@ def functional_equation_residual(N: int, s: ArrayLike) -> ArrayLike:
 # ------------------------------------------------------------- dual routes
 
 
-def homogeneity_check(
-    N: int,
-    s: complex,
-    f: IsotypicFunction,
-    u_spacing: float = 1.0 / 32.0,
-    u_half_width: float = 48.0,
-    angular_nodes: int = 64,
-) -> float:
+def homogeneity_check(N: int, s: complex, f: IsotypicFunction, u_half_width: float = 48.0) -> float:
     """Relative residual of the homogeneous pairing identity
 
         int H(phi) chi_N |x|^{-s} dx = H_N(s) int phi chi_N |x|^{-s} dx
 
-    for the additive form phi of f.  H(phi) comes from the spectral route;
-    both pairings are evaluated by radial-angular quadrature (the angular
-    factor, the class-measure mean of chi_N^2, is computed numerically and
-    the radial factor on a uniform grid in u = log|x|, evaluated through
-    profile_value; with the default spacing 1/32 from 0 the u-nodes are a
-    subset of the profile's native 1/64 v-nodes).
+    for the additive form phi of f.  H(phi) comes from the spectral route.
+    Both pairings factor into the same angular integral, the class-measure
+    mean of chi_N^2, times sqrt(2 pi^2) times a radial integral; the common
+    factor cancels in the relative residual, so only the radial integrals
+    are computed.  They run on the uniform grid of spacing 1/32 in
+    u = log|x| over |u| <= u_half_width, through profile_value: from 0
+    these u-nodes are a subset of the profile's native 1/64 v-nodes.
     """
     if N != f.N:
         raise ValueError("N must match the sector of f")
     s = complex(s)
     if not 0.0 < s.real < 1.0:
         raise ValueError("s must lie in the open strip 0 < Re(s) < 1")
-    aq = angular_quadrature(angular_nodes)
-    chi = character(N, aq.nodes)
-    angular_factor = aq.integrate(chi * chi)
-
-    m = int(round(u_half_width / u_spacing))
-    u = u_spacing * np.arange(-m, m + 1)
+    m = int(round(u_half_width / _HOMOGENEITY_U_SPACING))
+    u = _HOMOGENEITY_U_SPACING * np.arange(-m, m + 1)
     # phi's radial part is K(u) e^{-u/2}/sqrt(2 pi^2); the weight
     # e^{(1-s)u} du then leaves K(u) e^{(1/2-s)u}
-    weight = np.exp((0.5 - s) * u) * u_spacing
-    k_f = profile_value(f.spectral_profile, u)
-    k_h = profile_value(op_H(f).spectral_profile, u)
-    common = SQRT_2PI2 * angular_factor
-    lhs = common * np.sum(k_h * weight)
-    rhs = gamma_log_derivative(N, s) * common * np.sum(k_f * weight)
+    weight = np.exp((0.5 - s) * u) * _HOMOGENEITY_U_SPACING
+    lhs = np.sum(profile_value(op_H(f).spectral_profile, u) * weight)
+    rhs = gamma_log_derivative(N, s) * np.sum(profile_value(f.spectral_profile, u) * weight)
     scale = max(abs(lhs), abs(rhs))
     if scale == 0.0:
         return 0.0
@@ -544,10 +541,9 @@ def homogeneity_check(
 
 def op_b_via_distribution(
     f: IsotypicFunction,
-    r_max: float = 64.0,
-    log_floor: float = -96.0,
-    nodes_per_panel: int = 16,
-    angular_nodes: int = 64,
+    log_floor: float = _LOG_FLOOR,
+    nodes_per_panel: int = _PANEL_NODES,
+    angular_nodes: int = _ANGULAR_NODES,
 ) -> complex:
     """B(f) at the identity through the additive convolution route:
     B(phi) = -(phi * G), so the value sought is
@@ -564,11 +560,5 @@ def op_b_via_distribution(
     def shifted(pts: np.ndarray) -> np.ndarray:
         return phi.evaluate_points(one[None, :] - np.atleast_2d(pts))
 
-    g = distribution_G(
-        shifted,
-        r_max=r_max,
-        log_floor=log_floor,
-        nodes_per_panel=nodes_per_panel,
-        angular_nodes=angular_nodes,
-    )
+    g = distribution_G(shifted, log_floor, nodes_per_panel, angular_nodes)
     return complex(-SQRT_2PI2 * g)

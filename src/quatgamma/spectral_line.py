@@ -14,16 +14,18 @@ and  spacing_tau * half_width_v <= pi  (the discrete sum is periodic with
 period 2 pi / spacing, so beyond these the windows alias; <= pi/4 leaves a
 comfortable margin and is what the defaults provide on the narrow window).
 Profiles are expected to have decayed at their grid ends; transforms check
-this against a guard threshold.  The guard default is 1e-8 rather than the
-1e-12 the canonical test profiles satisfy: exact operator outputs carry
-e^{-|v|/2} tails (the Gamma-factor pole sits half a unit off the line),
-and legitimate wide-grid intermediates bottom out near 1e-12 without ever
-crossing below it.
+this against a fixed guard: an edge sample above 1e-8 of max(1, peak)
+raises DecayError.  The guard is 1e-8 rather than the 1e-12 the canonical
+test profiles satisfy: exact operator outputs carry e^{-|v|/2} tails (the
+Gamma-factor pole sits half a unit off the line), and legitimate wide-grid
+intermediates bottom out near 1e-12 without ever crossing below it.
 
-Transforms are computed by the chirp-z fast path (_unit_chirp_sum: Bluestein
-at the circular length next_fast_len(p + n_out - 1), the kernel the mirrored
-conjugate chirp, the phases formed directly); the quadrature value (here the
-plain Riemann sum) is the contract, and tests check it against direct sums.
+Both transforms run through one resampler, _resample, and differ only in
+the sign of i and the scale (spacing_v, or spacing_tau / 2 pi).  Its sum
+is the chirp-z fast path (_unit_chirp_sum: Bluestein at the circular
+length next_fast_len(p + n_out - 1), the kernel the mirrored conjugate
+chirp, the phases formed directly); the quadrature value (here the plain
+Riemann sum) is the contract, and tests check it against direct sums.
 
 Off the grid, K(v) = (spacing_tau / 2 pi) sum_k psi_k e^{-i tau_k v} is a
 type-2 nonuniform FFT in x = spacing_tau * v (mod 2 pi).  profile_value
@@ -69,7 +71,8 @@ DEFAULT_SPECTRAL_HALF_WIDTH = 64.0
 # wide v-window for operator outputs with e^{-|v|/2} tails
 WIDE_LOG_HALF_WIDTH = 64.0
 
-DEFAULT_DECAY_GUARD = 1e-8
+# an edge sample above this fraction of max(1, peak) is a DecayError
+_DECAY_GUARD = 1e-8
 
 # Gaussian gridding for profile_value: at oversampling 2 the truncation and
 # aliasing errors balance at about e^{-2 pi w / 3} for half-width w; w = 16
@@ -117,10 +120,10 @@ class Profile:
 # ----------------------------------------------------------------- guards
 
 
-def _check_decay(samples: np.ndarray, guard: float, what: str) -> None:
+def _check_decay(samples: np.ndarray, what: str) -> None:
     peak = float(np.max(np.abs(samples))) if len(samples) else 0.0
     edge = float(max(abs(samples[0]), abs(samples[-1])))
-    if edge > guard * max(1.0, peak):
+    if edge > _DECAY_GUARD * max(1.0, peak):
         raise DecayError(
             f"{what} has not decayed at its grid ends "
             f"(edge {edge:.3e}, peak {peak:.3e}); widen the window"
@@ -160,31 +163,35 @@ def _unit_chirp_sum(x: np.ndarray, n_out: int, angle: float) -> np.ndarray:
     return chirp[:n_out] * conv[:n_out]
 
 
+def _resample(src: Profile, spacing: float, half_width: float, sign: complex, scale: float) -> Profile:
+    """scale * sum_m src(x_m) e^{sign t_k x_m} at t_k = -half_width +
+    spacing k, sign = +-1j.  With x_m = -x_half + dx m the exponent splits
+    into a phase in m, the unit chirp sum in k m and a phase in k."""
+    dx, x_half = src.spacing, src.half_width
+    n_out = int(round(2.0 * half_width / spacing)) + 1
+    x = src.samples * np.exp(-sign * half_width * dx * np.arange(len(src.samples)))
+    vals = _unit_chirp_sum(x, n_out, sign.imag * spacing * dx)
+    phase = np.exp(sign * half_width * x_half) * np.exp(
+        -sign * spacing * np.arange(n_out) * x_half
+    )
+    return Profile(spacing, half_width, scale * phase * vals)
+
+
 def to_spectral(
     profile: Profile,
     spacing: float = DEFAULT_SPECTRAL_SPACING,
     half_width: float = DEFAULT_SPECTRAL_HALF_WIDTH,
-    decay_guard: float = DEFAULT_DECAY_GUARD,
 ) -> Profile:
     """psi(tau_k) = spacing_v * sum_m K(v_m) e^{i tau_k v_m} on the
     requested tau-grid (chirp-z evaluation, exact to rounding)."""
-    _check_decay(profile.samples, decay_guard, "log profile")
+    _check_decay(profile.samples, "log profile")
     _check_reciprocity(profile.spacing, profile.half_width, spacing, half_width)
-    dv, v_half = profile.spacing, profile.half_width
-    n_out = int(round(2.0 * half_width / spacing)) + 1
-    x = profile.samples * np.exp(-1j * half_width * dv * np.arange(len(profile.samples)))
-    vals = _unit_chirp_sum(x, n_out, spacing * dv)
-    phase = np.exp(1j * half_width * v_half) * np.exp(
-        -1j * spacing * np.arange(n_out) * v_half
-    )
-    return Profile(spacing, half_width, dv * phase * vals)
+    return _resample(profile, spacing, half_width, 1j, profile.spacing)
 
 
-def check_spectral(
-    psi: Profile, spacing: float, half_width: float, guard: float = DEFAULT_DECAY_GUARD
-) -> None:
+def check_spectral(psi: Profile, spacing: float, half_width: float) -> None:
     """Raise unless psi has decayed and can be read on this v-grid."""
-    _check_decay(psi.samples, guard, "spectral profile")
+    _check_decay(psi.samples, "spectral profile")
     _check_reciprocity(spacing, half_width, psi.spacing, psi.half_width)
 
 
@@ -192,18 +199,10 @@ def from_spectral(
     psi: Profile,
     spacing: float = DEFAULT_LOG_SPACING,
     half_width: float = DEFAULT_LOG_HALF_WIDTH,
-    decay_guard: float = DEFAULT_DECAY_GUARD,
 ) -> Profile:
     """K(v_m) = (spacing_tau / 2 pi) * sum_k psi(tau_k) e^{-i tau_k v_m}."""
-    check_spectral(psi, spacing, half_width, decay_guard)
-    dtau, tau_half = psi.spacing, psi.half_width
-    n_out = int(round(2.0 * half_width / spacing)) + 1
-    y = psi.samples * np.exp(1j * half_width * dtau * np.arange(len(psi.samples)))
-    vals = _unit_chirp_sum(y, n_out, -spacing * dtau)
-    phase = np.exp(-1j * tau_half * half_width) * np.exp(
-        1j * spacing * np.arange(n_out) * tau_half
-    )
-    return Profile(spacing, half_width, (dtau / (2.0 * np.pi)) * phase * vals)
+    check_spectral(psi, spacing, half_width)
+    return _resample(psi, spacing, half_width, -1j, psi.spacing / (2.0 * np.pi))
 
 
 # -------------------------------------------------------------- evaluation

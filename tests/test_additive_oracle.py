@@ -43,11 +43,13 @@ from quatgamma.gamma_op import (
     gaussian_isotypic,
     inversion,
     op_B,
+    op_H,
     to_additive,
     value_at_identity,
 )
 from quatgamma.quat_core import Quaternion
-from quatgamma.specfun import gamma_factor
+from quatgamma.specfun import gamma_factor, gamma_log_derivative
+from quatgamma.spectral_line import profile_value
 from quatgamma.su2_angular import character
 
 
@@ -512,7 +514,7 @@ def test_moment_quadrature_tail_panels_are_flat():
     x, _ = legendre_rule(16)
     u = mid[None, :] + 0.5 * (edges[1] - edges[0]) * x[:, None]
     factor = np.exp(-2.0 * np.pi * np.exp(2.0 * u))
-    head = additive_oracle._moment_panels(0, 16)[0]
+    head = additive_oracle._moment_panels(0)[0]
     cut = mid.size - head.size
     assert np.array_equal(head, mid[cut:])
     assert np.all(factor[:, :cut] == 1.0)
@@ -555,6 +557,15 @@ def test_moment_functions_scalar_and_empty():
             assert fn(2, np.empty(shape, dtype=complex)).shape == shape
 
 
+def test_moment_functions_reject_negative_modes():
+    for fn in MOMENT_FUNCTIONS:
+        for N in (-1, -3):
+            with pytest.raises(ValueError, match="angular mode N must be >= 0"):
+                fn(N, 0.1)
+            with pytest.raises(ValueError, match="angular mode N must be >= 0"):
+                fn(N, np.full(3, 0.9 + 0.5j))
+
+
 def test_moment_functions_reject_any_point_off_strip():
     good = np.full(40, 0.5 + 1.0j)
     for bad in (0.0, 1.0, -0.2 + 0.5j, 1.3 + 1.0j):
@@ -575,6 +586,26 @@ def test_homogeneity_identity(N):
         assert homogeneity_check(N, 0.5 + 1j * tau, f) < 1e-8
 
 
+@pytest.mark.parametrize("u_half_width", [48.0, 8.0])
+def test_homogeneity_is_the_radial_residual(u_half_width, monkeypatch):
+    # both pairings carry the same angular factor and sqrt(2 pi^2), which
+    # cancel in the relative residual: no angular quadrature runs
+    def refuse(n):
+        raise AssertionError("homogeneity_check ran an angular quadrature")
+
+    monkeypatch.setattr(additive_oracle, "angular_quadrature", refuse)
+    f = gaussian_isotypic(N=1)
+    s = 0.5 + 0.75j
+    m = int(round(u_half_width * 32))
+    u = np.arange(-m, m + 1) / 32.0
+    weight = np.exp((0.5 - s) * u) / 32.0
+    lhs = np.sum(profile_value(op_H(f).spectral_profile, u) * weight)
+    rhs = gamma_log_derivative(1, s) * np.sum(profile_value(f.spectral_profile, u) * weight)
+    want = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+    got = homogeneity_check(1, s, f, u_half_width=u_half_width)
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_homogeneity_validation():
     f = gaussian_isotypic(N=1)
     with pytest.raises(ValueError):
@@ -593,7 +624,8 @@ def test_b_dual_route_at_identity(N):
 
 def test_dual_routes_reuse_cached_legendre_rules(monkeypatch):
     # the class averages read su2_angular.angular_quadrature, whose
-    # Gauss-Legendre rule comes from the shared cache after a warm-up call;
+    # Gauss-Legendre rule comes from the shared cache after a warm-up call
+    # (homogeneity_check reads no rule at all);
     # numpy's leggauss is patched too, so a direct call would also trip
     f = gaussian_isotypic(N=1)
     homogeneity_check(1, 0.5 + 1j, f)
