@@ -21,19 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List
 
 import numpy as np
 
 from ._errors import QuadratureError
 from ._quadrature import gauss_panels, legendre_rule
 from .gamma_op import SQRT_2PI2, IsotypicFunction, op_H, to_additive
-from .quat_core import Quaternion, class_angle
+from .quat_core import _Points, _as_points
 from .specfun import (
+    _STRIP,
     G_CONSTANT,
     LOG_2PI,
     ArrayLike,
-    _check_strip,
+    _pointwise,
     gamma_factor,
     gamma_log_derivative,
     log_gamma,
@@ -221,15 +222,7 @@ def isotypic_grid_function(grid: Grid4D, f: IsotypicFunction) -> GridFunction:
     return GridFunction(grid, table, orbit)
 
 
-def _probe_coords(probe: Union[Quaternion, Sequence[float]]) -> np.ndarray:
-    if isinstance(probe, Quaternion):
-        return np.asarray(probe.coords, dtype=float)
-    return np.asarray(probe, dtype=float)
-
-
-def brute_fourier(
-    phi: GridFunction, probes: Sequence[Union[Quaternion, Sequence[float]]]
-) -> np.ndarray:
+def brute_fourier(phi: GridFunction, probes: _Points) -> np.ndarray:
     """Riemann-sum transform sum phi(x_m) e^{4 pi i Re(x_m y)} 4h^4 at each
     probe, never an M^4 x M^4 map and never an M^4 array.
 
@@ -243,7 +236,7 @@ def brute_fourier(
     """
     ax = phi.grid.axis()
     h = phi.grid.spacing
-    y = np.array([_probe_coords(p) for p in probes], dtype=float).reshape(len(probes), 4)
+    y = _as_points(probes)
     signs = np.array([1.0, -1.0, -1.0, -1.0])
     # phases[p, k] = e^{4 pi i sign_k y_pk x} along the axis x
     phases = np.exp(4j * np.pi * (signs * y)[:, :, None] * ax)
@@ -260,7 +253,7 @@ def brute_fourier(
 def radial_fourier(
     N: int,
     radial: Callable[[np.ndarray], np.ndarray],
-    probes: Sequence[Union[Quaternion, Sequence[float]]],
+    probes: _Points,
     r_max: float = 6.0,
     tol: float = 1e-10,
 ) -> np.ndarray:
@@ -279,14 +272,11 @@ def radial_fourier(
     """
     if r_max <= 0:
         raise ValueError("r_max must be positive")
-    coords = [_probe_coords(p) for p in probes]
-    rho = np.array([math.sqrt(float(np.dot(c, c))) for c in coords])
-    chi = np.array(
-        [
-            character(N, class_angle(Quaternion(*c))) if r > 0 else float(N + 1)
-            for c, r in zip(coords, rho)
-        ]
-    )
+    y = _as_points(probes)
+    rho = np.sqrt(np.sum(y * y, axis=1))
+    # cos(theta_y), taken as 1 at the origin, where chi_N is N + 1
+    cos_theta = np.divide(y[:, 0], rho, out=np.ones_like(rho), where=rho > 0.0)
+    chi = character(N, np.arccos(np.clip(cos_theta, -1.0, 1.0)))
     prefactor = 8.0 * np.pi**2 / (N + 1) * chi
 
     prev = None
@@ -301,8 +291,8 @@ def radial_fourier(
         )
         vals = prefactor * ((wr * q * r**3) @ bess)
         if prev is not None:
-            scale = max(1.0, float(np.abs(vals).max()))
-            if float(np.abs(vals - prev).max()) <= tol * scale:
+            scale = float(np.abs(vals).max(initial=1.0))
+            if float(np.abs(vals - prev).max(initial=0.0)) <= tol * scale:
                 return vals
         prev = vals
         n *= 2
@@ -336,6 +326,8 @@ def _regularized_radial(
     """Shared quadrature layout for the regularized radial integrals: the
     flattened variable u = 4 log r, inner panels on [log_floor, 0] (the
     subtracted unit ball) and outer panels on [0, 4 log _RADIAL_R_MAX]."""
+    if not (math.isfinite(log_floor) and log_floor < 0.0):
+        raise ValueError(f"log_floor must be finite and negative, got {log_floor}")
     phi_zero = complex(np.asarray(phi(np.zeros((1, 4))), dtype=complex)[0])
     u_top = 4.0 * math.log(_RADIAL_R_MAX)
     inner_edges = np.linspace(log_floor, 0.0, max(2, int(math.ceil(-log_floor / 2.0))) + 1)
@@ -364,7 +356,8 @@ def distribution_G(
     u = 4 log r.  The layout: nodes_per_panel Gauss-Legendre nodes on
     panels at most 2 wide in u, from log_floor up to 0 (the subtracted
     unit ball) and from 0 up to the fixed r = 64, with angular_nodes
-    class-measure nodes per radius.
+    class-measure nodes per radius.  A log_floor that is not finite and
+    negative raises ValueError.
     """
     phi0, inner, outer = _regularized_radial(phi, log_floor, nodes_per_panel, angular_nodes)
     u_in, w_in, avg_in = inner
@@ -398,23 +391,7 @@ def delta_s(s: complex, phi: Callable[[np.ndarray], np.ndarray]) -> complex:
 # ------------------------------------------------------- Gaussian moments
 
 
-def _strip_points(s: ArrayLike) -> np.ndarray:
-    arr = np.asarray(s, dtype=complex)
-    _check_strip(arr)
-    return arr
-
-
-def _moment_points(N: int, s: ArrayLike) -> np.ndarray:
-    if N < 0:
-        raise ValueError("angular mode N must be >= 0")
-    return _strip_points(s)
-
-
-def _scalar_or_array(out, kind: type):
-    out = np.asarray(out)
-    return kind(out) if out.ndim == 0 else out
-
-
+@_pointwise(complex, _STRIP)
 def gaussian_moment(N: int, s: ArrayLike) -> ArrayLike:
     """Closed form of the Gaussian moment with weight |y|^{s-1-N/4}:
 
@@ -422,16 +399,14 @@ def gaussian_moment(N: int, s: ArrayLike) -> ArrayLike:
             = 4 pi^2 (2 pi)^{-(2s+N/2)} Gamma(2s + N/2),
 
     by the radial rule (the integrand is central, so the angular average
-    is 1 and the power of r collapses to 4s+N-1).  s may be a scalar or an
-    array of any shape, every element in the open strip 0 < Re(s) < 1;
-    an array comes back with its shape, a scalar as a Python complex.
+    is 1 and the power of r collapses to 4s+N-1), for s in the open strip
+    0 < Re(s) < 1.
     """
-    s = _moment_points(N, s)
     a = 2.0 * s + 0.5 * N
-    out = 4.0 * np.pi**2 * np.exp(-a * LOG_2PI + log_gamma(a))
-    return _scalar_or_array(out, complex)
+    return 4.0 * np.pi**2 * np.exp(-a * LOG_2PI + log_gamma(a))
 
 
+@_pointwise(complex, _STRIP)
 def gaussian_moment_quadrature(N: int, s: ArrayLike) -> ArrayLike:
     """The same moment by direct radial quadrature in u = log r:
 
@@ -443,7 +418,6 @@ def gaussian_moment_quadrature(N: int, s: ArrayLike) -> ArrayLike:
     1.1e-10 at N = 12 and 1.4e-8 at N = 30, so N above
     _MOMENT_QUADRATURE_MAX_N = 11 raises ValueError.
 
-    s may be a scalar or an array of any shape, as in gaussian_moment.
     The rule puts _PANEL_NODES = 16 Gauss-Legendre nodes x_j on equal
     panels of pitch delta = (log 5 + 160)/162 (the 162 of [-160, log 5],
     continued to -inf), with midpoints m_p and one half-width h.  Below
@@ -460,7 +434,6 @@ def gaussian_moment_quadrature(N: int, s: ArrayLike) -> ArrayLike:
     """
     if N > _MOMENT_QUADRATURE_MAX_N:
         raise ValueError(f"gaussian_moment_quadrature resolves N <= {_MOMENT_QUADRATURE_MAX_N}, got N = {N}")
-    s = _moment_points(N, s)
     mid, h, x, weights, tail_w = _moment_panels(N)
     # the exact pitch: 2h is 7e-15 short, which the tail would build up
     delta = (math.log(5.0) + 160.0) / 162.0
@@ -474,7 +447,7 @@ def gaussian_moment_quadrature(N: int, s: ArrayLike) -> ArrayLike:
         per_node = np.stack([np.sum(panel * row, axis=1) for row in weights], axis=1)
         per_node += tail * tail_w
         out[i : i + _MOMENT_BLOCK] = np.sum(per_node * np.exp(s4 * (h * x)), axis=1)
-    return _scalar_or_array(8.0 * np.pi**2 * out.reshape(s.shape), complex)
+    return 8.0 * np.pi**2 * out.reshape(s.shape)
 
 
 def _moment_panels(N: int):
@@ -496,13 +469,13 @@ def _moment_panels(N: int):
     return mid[cut:], h, x, weights, h * w * np.exp(N * (mid[cut] + h * x))
 
 
+@_pointwise(complex, _STRIP)
 def functional_equation_residual(N: int, s: ArrayLike) -> ArrayLike:
     """Relative residual of i^N moment(N, s) = Gamma_N(s) moment(N, 1-s),
-    elementwise for array s (a Python float for a scalar)."""
-    s = _strip_points(s)
+    elementwise in s."""
     lhs = 1j**N * gaussian_moment(N, s)
     rhs = gamma_factor(N, s) * gaussian_moment(N, 1.0 - s)
-    return _scalar_or_array(np.abs(lhs - rhs) / np.abs(rhs), float)
+    return np.abs(lhs - rhs) / np.abs(rhs)
 
 
 # ------------------------------------------------------------- dual routes
@@ -558,7 +531,7 @@ def op_b_via_distribution(
     one = np.array([1.0, 0.0, 0.0, 0.0])
 
     def shifted(pts: np.ndarray) -> np.ndarray:
-        return phi.evaluate_points(one[None, :] - np.atleast_2d(pts))
+        return phi.evaluate_points(one - pts)
 
     g = distribution_G(shifted, log_floor, nodes_per_panel, angular_nodes)
     return complex(-SQRT_2PI2 * g)

@@ -326,7 +326,7 @@ def cmd_gamma_table(args: argparse.Namespace) -> _Table:
     for n in sectors:
         if len(svals) == 0:
             break
-        vals = np.atleast_1d(gamma_factor(n, svals))
+        vals = gamma_factor(n, svals)
         mags = np.abs(vals)
         if tau_mode:
             unit_err = max(unit_err, float(np.max(np.abs(mags - 1.0))))
@@ -361,8 +361,8 @@ def cmd_spectral_scan(args: argparse.Namespace) -> _Table:
     max_k = -math.inf
     max_k_at = (0, 0.0)
     for n in sectors:
-        h = np.atleast_1d(h_multiplier(n, taus))
-        k = np.atleast_1d(k_multiplier(n, taus))
+        h = h_multiplier(n, taus)
+        k = k_multiplier(n, taus)
         i = int(np.argmin(h))
         if h[i] < min_h:
             min_h, min_h_at = float(h[i]), (n, float(taus[i]))

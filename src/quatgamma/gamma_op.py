@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .quat_core import Quaternion
+from .quat_core import _Points, _as_points
 from .specfun import gamma_multiplier, h_multiplier, k_multiplier
 from .spectral_line import (
     DEFAULT_SPECTRAL_HALF_WIDTH,
@@ -195,9 +195,9 @@ class AdditiveFunction:
 
     source: IsotypicFunction
 
-    def evaluate_points(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (n, 4) array of quaternion coordinates."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def evaluate_points(self, points: _Points) -> np.ndarray:
+        """Evaluate at n points (read as by quat_core._as_points)."""
+        pts = _as_points(points)
         n = np.sum(pts * pts, axis=1)
         if np.any(n == 0.0):
             raise ValueError("additive evaluation at 0 is undefined")
@@ -211,9 +211,10 @@ class AdditiveFunction:
         # outside the window the profile is below the decay guard: treat as 0
         return character(self.source.N, theta) * k_vals / (SQRT_2PI2 * n)
 
-    def __call__(self, x: Union[Quaternion, np.ndarray]) -> complex:
-        coords = x.coords if isinstance(x, Quaternion) else np.asarray(x, dtype=float)
-        return complex(self.evaluate_points(np.asarray(coords)[None, :])[0])
+    def __call__(self, x: _Points) -> complex:
+        """Evaluate at one point."""
+        (value,) = self.evaluate_points(x)
+        return complex(value)
 
 
 def to_additive(f: IsotypicFunction) -> AdditiveFunction:

@@ -7,12 +7,20 @@ Conventions used throughout the package:
 * character      lambda(x) = exp(-4*pi*1j*x0), i.e. e^{-2 pi i (x + conj(x))}
 * polar form     x = r*g0 with r = n(x)^{1/2} and n(g0) = 1; g0 has class
                  angle theta with cos(theta) = x0/r
+
+The array routines of the package (the 4D oracles and the additive
+picture) read their points through _as_points: a Quaternion, one row of
+four coordinates, or a sequence or array of either becomes an (n, 4)
+float array, and any other shape raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Quaternion",
@@ -102,3 +110,21 @@ def class_angle(q: Quaternion) -> float:
         raise ValueError("class angle of the zero quaternion is undefined")
     c = q.x0 / r
     return math.acos(min(1.0, max(-1.0, c)))
+
+
+_Points = Union[Quaternion, Sequence[float], Sequence[Union[Quaternion, Sequence[float]]], np.ndarray]
+
+
+def _as_points(points: _Points) -> np.ndarray:
+    """(n, 4) float coordinates of a Quaternion, one row, or a sequence or
+    array of either; [] gives (0, 4)."""
+    if isinstance(points, Quaternion):
+        points = points.coords
+    elif not isinstance(points, np.ndarray):
+        points = [p.coords if isinstance(p, Quaternion) else p for p in points]
+    pts = np.asarray(points, dtype=float)
+    if pts.shape in ((0,), (4,)):
+        pts = pts.reshape(-1, 4)
+    if pts.ndim != 2 or pts.shape[1] != 4:
+        raise ValueError(f"points must be quaternions or rows of 4 coordinates, got shape {pts.shape}")
+    return pts

@@ -15,14 +15,20 @@ real multipliers
     h_multiplier(N, tau) = -4*log(2*pi) + 4*Re psi(1 + N/2 + 2i*tau)
     k_multiplier(N, tau) = 8*Im psi'(1 + N/2 + 2i*tau)
 
-(h even, k odd; k = -dh/dtau).  All functions accept scalars or numpy
-arrays in their continuous argument.
+(h even, k odd; k = -dh/dtau).
+
+Every pointwise kernel of the package, here and in su2_angular and
+additive_oracle, takes its point argument through _pointwise: a Python
+scalar (or 0-d array) gives a Python complex or float, any other array
+or sequence an array of its shape, and a mode N < 0 or a point outside
+the kernel's domain raises ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import List, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.special import loggamma, psi
@@ -54,18 +60,38 @@ ArrayLike = Union[float, complex, np.ndarray]
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-def _check_right_half(z: np.ndarray, name: str) -> None:
-    if np.any(z.real <= 0.0):
-        raise ValueError(f"{name} requires Re(z) > 0")
+# kernel domains: (test for the points outside, message)
+_RIGHT_HALF_PLANE = (lambda z: z.real <= 0.0, "{name} requires Re(z) > 0")
+_STRIP = (lambda s: (s.real <= 0.0) | (s.real >= 1.0), "s must lie in the open strip 0 < Re(s) < 1")
 
 
-def _maybe_scalar(value: np.ndarray, scalar: bool):
-    return value[0] if scalar else value
+def _pointwise(dtype: type, domain: Optional[Tuple[Callable, str]] = None):
+    """The argument convention of the kernels fn(x) and fn(N, x), called
+    positionally: N < 0 raises, x is read as a dtype array and checked
+    against domain, and fn runs on it at least 1-D.  A scalar or 0-d x
+    gives a Python scalar, any other x an array of its own shape."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def kernel(*args):
+            *mode, x = args
+            if mode and mode[0] < 0:
+                raise ValueError("angular mode N must be >= 0")
+            arr = np.asarray(x, dtype=dtype)
+            if domain is not None and np.any(domain[0](arr)):
+                raise ValueError(domain[1].format(name=fn.__name__))
+            out = np.reshape(fn(*mode, np.atleast_1d(arr)), arr.shape)
+            return out.item() if out.ndim == 0 else out
+
+        return kernel
+
+    return decorate
 
 
 # ---------------------------------------------------- log-gamma and digamma
 
 
+@_pointwise(complex, _RIGHT_HALF_PLANE)
 def log_gamma(z: ArrayLike) -> ArrayLike:
     """Principal branch of log Gamma for Re(z) > 0 (scipy.special.loggamma).
 
@@ -74,21 +100,14 @@ def log_gamma(z: ArrayLike) -> ArrayLike:
     for that guard: an argument with Re(z) <= 0 is a caller's error here,
     so it raises instead of being continued by reflection.
     """
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    w = np.atleast_1d(arr)
-    _check_right_half(w, "log_gamma")
-    return _maybe_scalar(loggamma(w), scalar)
+    return loggamma(z)
 
 
+@_pointwise(complex, _RIGHT_HALF_PLANE)
 def digamma(z: ArrayLike) -> ArrayLike:
     """psi(z) for Re(z) > 0 (scipy.special.psi), behind the same
     right-half-plane guard as log_gamma."""
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    w = np.atleast_1d(arr)
-    _check_right_half(w, "digamma")
-    return _maybe_scalar(psi(w), scalar)
+    return psi(z)
 
 
 # ---------------------------------------------------------------- trigamma
@@ -106,13 +125,11 @@ _TRIGAMMA_TAIL = (
 _ASYMPTOTIC_ABS = 16.0  # first dropped term is ~1e-20 at |z| = 16
 
 
+@_pointwise(complex, _RIGHT_HALF_PLANE)
 def trigamma(z: ArrayLike) -> ArrayLike:
     """psi'(z) for Re(z) > 0: recurrence shift to |z| >= 16, then the
     Bernoulli asymptotic series (scipy's polygamma is real-only)."""
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).copy()
-    _check_right_half(w, "trigamma")
+    w = z.copy()
     acc = np.zeros_like(w)
     while True:
         mask = np.abs(w) < _ASYMPTOTIC_ABS
@@ -124,36 +141,25 @@ def trigamma(z: ArrayLike) -> ArrayLike:
     tail = np.zeros_like(w)
     for c in reversed(_TRIGAMMA_TAIL):
         tail = x * (c + tail)
-    out = acc + 1.0 / w + 0.5 * x + tail / w
-    return _maybe_scalar(out, scalar)
+    return acc + 1.0 / w + 0.5 * x + tail / w
 
 
 # ------------------------------------------------------------- Gamma factors
 
 
-def _check_strip(s: np.ndarray) -> None:
-    if np.any((s.real <= 0.0) | (s.real >= 1.0)):
-        raise ValueError("s must lie in the open strip 0 < Re(s) < 1")
-
-
+@_pointwise(complex, _STRIP)
 def gamma_factor(N: int, s: ArrayLike) -> ArrayLike:
     """Gamma factor of angular mode N at strip point s (see module docstring)."""
-    if N < 0:
-        raise ValueError("angular mode N must be >= 0")
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    _check_strip(arr)
     half_n = 0.5 * N
     exponent = (
-        (2.0 - 4.0 * arr) * LOG_2PI
-        + log_gamma(2.0 * arr + half_n)
-        - log_gamma(2.0 * (1.0 - arr) + half_n)
+        (2.0 - 4.0 * s) * LOG_2PI
+        + log_gamma(2.0 * s + half_n)
+        - log_gamma(2.0 * (1.0 - s) + half_n)
     )
-    out = _I_POW[N % 4] * np.exp(exponent)
-    return _maybe_scalar(out, scalar)
+    return _I_POW[N % 4] * np.exp(exponent)
 
 
+@_pointwise(float)
 def gamma_multiplier(N: int, tau: ArrayLike) -> ArrayLike:
     """The unimodular multiplier gamma_N(tau) = gamma_factor(N, 1/2 + i*tau).
 
@@ -162,57 +168,35 @@ def gamma_multiplier(N: int, tau: ArrayLike) -> ArrayLike:
     factor is exp of a purely imaginary number times i^N, so |result| = 1
     holds to rounding by construction.
     """
-    if N < 0:
-        raise ValueError("angular mode N must be >= 0")
-    arr = np.asarray(tau, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    phase = 2.0 * np.imag(log_gamma(1.0 + 0.5 * N + 2.0j * arr)) - 4.0 * arr * LOG_2PI
-    out = _I_POW[N % 4] * np.exp(1j * phase)
-    return _maybe_scalar(out, scalar)
+    phase = 2.0 * np.imag(log_gamma(1.0 + 0.5 * N + 2.0j * tau)) - 4.0 * tau * LOG_2PI
+    return _I_POW[N % 4] * np.exp(1j * phase)
 
 
+@_pointwise(complex, _STRIP)
 def gamma_log_derivative(N: int, s: ArrayLike) -> ArrayLike:
     """d/ds log gamma_factor(N, s) =
     -4*log(2*pi) + 2*psi(2s + N/2) + 2*psi(2(1-s) + N/2).
 
     Symmetric under s -> 1-s; real on the critical line.
     """
-    if N < 0:
-        raise ValueError("angular mode N must be >= 0")
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    _check_strip(arr)
     half_n = 0.5 * N
-    out = (
+    return (
         -4.0 * LOG_2PI
-        + 2.0 * digamma(2.0 * arr + half_n)
-        + 2.0 * digamma(2.0 * (1.0 - arr) + half_n)
+        + 2.0 * digamma(2.0 * s + half_n)
+        + 2.0 * digamma(2.0 * (1.0 - s) + half_n)
     )
-    return _maybe_scalar(out, scalar)
 
 
+@_pointwise(float)
 def h_multiplier(N: int, tau: ArrayLike) -> ArrayLike:
     """gamma_log_derivative on the critical line, in its real form."""
-    if N < 0:
-        raise ValueError("angular mode N must be >= 0")
-    arr = np.asarray(tau, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    val = -4.0 * LOG_2PI + 4.0 * np.real(digamma(1.0 + 0.5 * N + 2.0j * arr))
-    return _maybe_scalar(val, scalar)
+    return -4.0 * LOG_2PI + 4.0 * np.real(digamma(1.0 + 0.5 * N + 2.0j * tau))
 
 
+@_pointwise(float)
 def k_multiplier(N: int, tau: ArrayLike) -> ArrayLike:
     """Negative tau-derivative of h_multiplier: 8*Im psi'(1 + N/2 + 2i*tau)."""
-    if N < 0:
-        raise ValueError("angular mode N must be >= 0")
-    arr = np.asarray(tau, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    val = 8.0 * np.imag(trigamma(1.0 + 0.5 * N + 2.0j * arr))
-    return _maybe_scalar(val, scalar)
+    return 8.0 * np.imag(trigamma(1.0 + 0.5 * N + 2.0j * tau))
 
 
 # ------------------------------------------------------------- series constant

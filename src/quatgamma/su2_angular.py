@@ -15,6 +15,10 @@ exp(-4*pi*i*Re(x*y)) is reduced to polar coordinates.  It has the closed
 form 2*(-i)^N*(N+1)*J_{N+1}(4*pi*rho)/(4*pi*rho), the Bochner (Funk-Hecke)
 formula for Fourier transforms of radial times harmonic functions on R^4
 (Stein & Weiss, Fourier Analysis on Euclidean Spaces, 1971, ch. IV, sec. 3).
+
+``character`` and ``angular_bessel`` follow specfun's convention: a scalar
+angle or radius gives a Python float or complex, an array or sequence an
+array of its shape, and N < 0 raises ValueError.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from scipy.special import jv
 
 from ._quadrature import legendre_rule
+from .specfun import _pointwise
 
 __all__ = [
     "character",
@@ -37,6 +42,7 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 
+@_pointwise(float)
 def character(N: int, theta: ArrayLike) -> ArrayLike:
     """Character of the (N+1)-dimensional irreducible representation.
 
@@ -44,12 +50,10 @@ def character(N: int, theta: ArrayLike) -> ArrayLike:
     Chebyshev-U recurrence in cos(theta), which is stable and needs no
     special-casing at theta = 0 or pi (limits +-(N+1) come out exactly).
     """
-    if N < 0:
-        raise ValueError("angular mode N must be >= 0")
     c = np.cos(theta)
     u_prev = np.ones_like(c)
     if N == 0:
-        return u_prev if isinstance(theta, np.ndarray) else 1.0
+        return u_prev
     u = 2.0 * c
     for _ in range(N - 1):
         u_prev, u = u, 2.0 * c * u - u_prev
@@ -85,6 +89,7 @@ def angular_quadrature(n_nodes: int = 64) -> AngularQuadrature:
 # -------------------------------------------------------- oscillatory integral
 
 
+@_pointwise(float, (lambda rho: rho < 0, "{name} requires rho >= 0"))
 def angular_bessel(N: int, rho: ArrayLike) -> ArrayLike:
     """Oscillatory class integral of exp(-4*pi*i*rho*cos(theta)) against chi_N,
     in closed form 2*(-i)^N*(N+1)*J_{N+1}(4*pi*rho)/(4*pi*rho).
@@ -92,14 +97,8 @@ def angular_bessel(N: int, rho: ArrayLike) -> ArrayLike:
     Real for even N, purely imaginary for odd N; bounded by N+1.  At
     rho = 0 the quotient is replaced by its limit <chi_N, chi_0> = [N == 0].
     """
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rho_arr < 0):
-        raise ValueError("angular_bessel requires rho >= 0")
-    x = 4.0 * np.pi * rho_arr
+    x = 4.0 * np.pi * rho
     zero = x == 0.0
     # J_{N+1}(x)/x -> [N == 0]/2 as x -> 0
     ratio = np.where(zero, 0.5 * (N == 0), jv(N + 1, x) / np.where(zero, 1.0, x))
-    out = (2.0 * (N + 1) * (-1j) ** N) * ratio
-    if np.isscalar(rho) or np.asarray(rho).ndim == 0:
-        return complex(out[0])
-    return out
+    return (2.0 * (N + 1) * (-1j) ** N) * ratio

@@ -383,6 +383,23 @@ def test_g_two_resolutions_agree():
     assert abs(lo - hi) < 1e-8
 
 
+@pytest.mark.parametrize("floor", [0.0, 4.0, float("nan"), -float("inf")])
+def test_g_rejects_a_floor_that_is_not_finite_and_negative(floor):
+    # a floor at or above 0 runs the inner panels backwards: 0.0 gave
+    # 7.6609 and 4.0 gave 11.6604 for the Gaussian's 2.8302
+    with pytest.raises(ValueError, match=f"log_floor must be finite and negative, got {floor}"):
+        distribution_G(omega_exact, log_floor=floor)
+    with pytest.raises(ValueError, match="log_floor"):
+        op_b_via_distribution(gaussian_isotypic(0), log_floor=floor)
+
+
+def test_g_accepts_the_floors_in_use():
+    want = G_CONSTANT / 2.0 - 1.0
+    assert abs(distribution_G(omega_exact, log_floor=-96.0) - want) < 1e-12
+    # the benchmark's reduced floor truncates the inner integral at 2.7e-5
+    assert abs(distribution_G(omega_exact, log_floor=-24.0) - want) < 1e-4 * want
+
+
 # -------------------------------------------------- homogeneous distributions
 
 
