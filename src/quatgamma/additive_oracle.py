@@ -40,7 +40,7 @@ from .specfun import (
     log_gamma,
 )
 from .spectral_line import profile_value
-from .su2_angular import angular_bessel, angular_quadrature, character
+from .su2_angular import _chebyshev_u, angular_bessel, angular_quadrature
 
 __all__ = [
     "G_CONSTANT",
@@ -215,10 +215,8 @@ def isotypic_grid_function(grid: Grid4D, f: IsotypicFunction) -> GridFunction:
     v = np.empty_like(n)
     v[nz] = 2.0 * np.log(n[nz])
     inside = nz & (np.abs(np.where(nz, v, 0.0)) <= k.half_width)
-    theta = np.arccos(np.clip(x0[inside] / np.sqrt(n[inside]), -1.0, 1.0))
-    table[inside] = (
-        character(f.N, theta) * spline(v[inside]) / (SQRT_2PI2 * n[inside])
-    )
+    cos_theta = x0[inside] / np.sqrt(n[inside])
+    table[inside] = _chebyshev_u(f.N, cos_theta) * spline(v[inside]) / (SQRT_2PI2 * n[inside])
     return GridFunction(grid, table, orbit)
 
 
@@ -276,8 +274,8 @@ def radial_fourier(
     rho = np.sqrt(np.sum(y * y, axis=1))
     # cos(theta_y), taken as 1 at the origin, where chi_N is N + 1
     cos_theta = np.divide(y[:, 0], rho, out=np.ones_like(rho), where=rho > 0.0)
-    chi = character(N, np.arccos(np.clip(cos_theta, -1.0, 1.0)))
-    prefactor = 8.0 * np.pi**2 / (N + 1) * chi
+    # chi_N first: its guard refuses N < 0 before N + 1 divides
+    prefactor = _chebyshev_u(N, cos_theta) * (8.0 * np.pi**2 / (N + 1))
 
     prev = None
     n = 128
@@ -309,12 +307,12 @@ def _class_average(
 ) -> np.ndarray:
     """Average of a central function over the sphere of each radius,
     against the normalized class measure (2/pi) sin^2(theta) dtheta."""
-    aq = angular_quadrature(angular_nodes)
+    theta, weights = angular_quadrature(angular_nodes)
     pts = np.zeros((len(radii), angular_nodes, 4))
-    pts[..., 0] = radii[:, None] * np.cos(aq.nodes)[None, :]
-    pts[..., 1] = radii[:, None] * np.sin(aq.nodes)[None, :]
+    pts[..., 0] = radii[:, None] * np.cos(theta)[None, :]
+    pts[..., 1] = radii[:, None] * np.sin(theta)[None, :]
     vals = np.asarray(phi(pts.reshape(-1, 4)), dtype=complex)
-    return aq.integrate(vals.reshape(len(radii), angular_nodes))
+    return vals.reshape(len(radii), angular_nodes) @ weights
 
 
 def _regularized_radial(

@@ -44,7 +44,7 @@ from .spectral_line import (
     profile_value,
     to_spectral,
 )
-from .su2_angular import character
+from .su2_angular import _chebyshev_u
 
 __all__ = [
     "IsotypicFunction",
@@ -201,15 +201,13 @@ class AdditiveFunction:
         n = np.sum(pts * pts, axis=1)
         if np.any(n == 0.0):
             raise ValueError("additive evaluation at 0 is undefined")
-        r = np.sqrt(n)
-        theta = np.arccos(np.clip(pts[:, 0] / r, -1.0, 1.0))
         v = 2.0 * np.log(n)  # log|x| with |x| = n(x)^2
         k_vals = np.zeros(len(v), dtype=complex)
         inside = np.abs(v) <= self.source.v_half_width
         if inside.any():
             k_vals[inside] = profile_value(self.source.spectral_profile, v[inside])
         # outside the window the profile is below the decay guard: treat as 0
-        return character(self.source.N, theta) * k_vals / (SQRT_2PI2 * n)
+        return _chebyshev_u(self.source.N, pts[:, 0] / np.sqrt(n)) * k_vals / (SQRT_2PI2 * n)
 
     def __call__(self, x: _Points) -> complex:
         """Evaluate at one point."""

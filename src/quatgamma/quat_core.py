@@ -41,24 +41,8 @@ class Quaternion:
     x2: float = 0.0
     x3: float = 0.0
 
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.x0 + other.x0, self.x1 + other.x1,
-                          self.x2 + other.x2, self.x3 + other.x3)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.x0 - other.x0, self.x1 - other.x1,
-                          self.x2 - other.x2, self.x3 - other.x3)
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.x0, -self.x1, -self.x2, -self.x3)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return mul(self, other)
-        return self.scale(float(other))
-
-    def __rmul__(self, c) -> "Quaternion":
-        return self.scale(float(c))
 
     def scale(self, c: float) -> "Quaternion":
         return Quaternion(c * self.x0, c * self.x1, c * self.x2, c * self.x3)

@@ -1,10 +1,17 @@
 """Angular layer on the unit quaternions (class functions on SU(2)).
 
-A unit quaternion g0 has class angle theta in [0, pi] with cos(theta) equal
-to its scalar part.  Class functions are integrated against the density
-(2/pi)*sin(theta)^2 on [0, pi], which has total mass 1 and makes the
-characters chi_N orthonormal; both facts are enforced by tests rather than
-assumed.
+A unit quaternion g0 has class angle theta in [0, pi] with c = cos(theta)
+equal to its scalar part.  Class functions are integrated against the
+density (2/pi)*sin(theta)^2 dtheta on [0, pi], that is
+(2/pi)*sqrt(1 - c^2) dc on [-1, 1], which has total mass 1 and makes the
+characters chi_N orthonormal.  The character is the Chebyshev polynomial
+of the second kind in the cosine, chi_N = sin((N+1)*theta)/sin(theta)
+= U_N(c), so callers that hold cos(theta) never form the angle.
+
+``angular_quadrature(n)`` is that measure's Gauss rule, Gauss-Chebyshev of
+the second kind in closed form (DLMF 3.5(v)): theta_k = k*pi/(n+1) and
+w_k = 2*sin(theta_k)^2/(n+1) for k = 1..n, exact for every polynomial in
+c of degree <= 2n - 1, hence for chi_N*chi_M with N + M <= 2n - 1.
 
 ``angular_bessel(N, rho)`` is the oscillatory class integral
 
@@ -23,18 +30,15 @@ array of its shape, and N < 0 raises ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import jv
 
-from ._quadrature import legendre_rule
 from .specfun import _pointwise
 
 __all__ = [
     "character",
-    "AngularQuadrature",
     "angular_quadrature",
     "angular_bessel",
 ]
@@ -43,14 +47,10 @@ ArrayLike = Union[float, np.ndarray]
 
 
 @_pointwise(float)
-def character(N: int, theta: ArrayLike) -> ArrayLike:
-    """Character of the (N+1)-dimensional irreducible representation.
-
-    chi_N(theta) = sin((N+1)*theta)/sin(theta), evaluated through the
-    Chebyshev-U recurrence in cos(theta), which is stable and needs no
-    special-casing at theta = 0 or pi (limits +-(N+1) come out exactly).
-    """
-    c = np.cos(theta)
+def _chebyshev_u(N: int, c: ArrayLike) -> ArrayLike:
+    """chi_N as a function of c = cos(theta): U_N(c) by the three-term
+    recurrence, stable on [-1, 1] and exact at the endpoints, where it
+    gives (+-1)^N * (N+1)."""
     u_prev = np.ones_like(c)
     if N == 0:
         return u_prev
@@ -60,30 +60,20 @@ def character(N: int, theta: ArrayLike) -> ArrayLike:
     return u
 
 
+def character(N: int, theta: ArrayLike) -> ArrayLike:
+    """Character of the (N+1)-dimensional irreducible representation at
+    class angle theta, chi_N(theta) = U_N(cos(theta))."""
+    return _chebyshev_u(N, np.cos(np.asarray(theta, dtype=float)))
+
+
 # ------------------------------------------------------------ class quadrature
 
 
-@dataclass(frozen=True)
-class AngularQuadrature:
-    """Gauss-Legendre nodes in (0, pi) with the class-measure density
-    (2/pi)*sin^2(theta) folded into the weights.
-
-    integrate(values) approximates the integral of a class function
-    against d*g0; weights sum to 1 (total mass) up to quadrature error.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return np.tensordot(values, self.weights, axes=(values.ndim - 1, 0))
-
-
-def angular_quadrature(n_nodes: int = 64) -> AngularQuadrature:
-    x, w = legendre_rule(n_nodes)
-    theta = 0.5 * np.pi * (x + 1.0)
-    w = 0.5 * np.pi * w * (2.0 / np.pi) * np.sin(theta) ** 2
-    return AngularQuadrature(nodes=theta, weights=w)
+def angular_quadrature(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Angles and weights of the n-node Gauss rule of the class measure
+    (2/pi)*sin(theta)^2 dtheta: theta_k = k*pi/(n+1), w_k = 2*sin(theta_k)^2/(n+1)."""
+    theta = np.arange(1, n + 1) * (np.pi / (n + 1))
+    return theta, (2.0 / (n + 1)) * np.sin(theta) ** 2
 
 
 # -------------------------------------------------------- oscillatory integral

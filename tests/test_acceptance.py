@@ -221,9 +221,9 @@ def test_criterion_09_dual_route_b(capsys):
         spectral = value_at_identity(op_B(f))
         convolved = op_b_via_distribution(f)
         worst = max(worst, abs(convolved - spectral) / abs(spectral))
-    ok = worst <= 1e-3
+    ok = worst <= 1e-14
     verdict(capsys, 9, "dual-route B", ok, f"max rel {worst:.3e}")
-    assert worst <= 1e-3
+    assert worst <= 1e-14
 
 
 def test_criterion_10_connes_trace(capsys):

@@ -56,7 +56,6 @@ DEFAULTED_PARAMETERS = {
     "quatgamma.specfun.gamma0_expansion": ("tol",),
     "quatgamma.spectral_line.to_spectral": ("spacing", "half_width"),
     "quatgamma.spectral_line.from_spectral": ("spacing", "half_width"),
-    "quatgamma.su2_angular.angular_quadrature": ("n_nodes",),
 }
 
 
@@ -84,4 +83,4 @@ def test_defaulted_parameters_are_pinned():
     for name in MODULES:
         found.update(_defaulted_parameters(importlib.import_module(name)))
     assert found == DEFAULTED_PARAMETERS
-    assert sum(len(names) for names in found.values()) == 34
+    assert sum(len(names) for names in found.values()) == 33

@@ -400,6 +400,32 @@ def test_trace_sweep_validation(tmp_path):
     assert main(["trace-sweep", "--lambda-list", "2,4", "--profile-width", "0", "--out", out]) == 2
 
 
+def test_trace_sweep_numerical_failure_exits_1(tmp_path, capsys):
+    # the two above-kink panel widths agree to about 1e-15, far above
+    # tol = 1e-300, so the self-check trips and nothing is written
+    out = tmp_path / "t.csv"
+    assert main(["trace-sweep", "--lambda-list", "2,4", "--tol", "1e-300", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: trace_spectral: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trace-sweep", "--lambda-list", ","], "--lambda-list is empty"),
+        (["spectral-scan"], "--tau-min, --tau-max and --tau-step are all required"),
+        (["gamma-table", "--n-min", "-1", "--s-grid", "2x2"], "--n-min must be >= 0"),
+        (["trace-sweep", "--n-min", "-1", "--lambda-list", "2,4"], "--n-min must be >= 0"),
+        (["trace-sweep", "--lambda-list", "2,4", "--tol", "0"], "--tol must be positive"),
+    ],
+    ids=["empty-lambda-list", "no-tau-grid", "gamma-table-n-min", "trace-sweep-n-min", "zero-tol"],
+)
+def test_usage_errors_exit_2(argv, message, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trace_sweep_refuses_oversized_cutoff(tmp_path):
     # parsing only, so that no trace is ever computed; the refusal is a
     # _UsageError, which main turns into exit 2 before numpy is imported

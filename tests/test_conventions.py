@@ -21,6 +21,7 @@ from quatgamma.additive_oracle import (
     functional_equation_residual,
     gaussian_moment,
     gaussian_moment_quadrature,
+    isotypic_grid_function,
     omega_grid_function,
     radial_fourier,
 )
@@ -159,3 +160,16 @@ def test_additive_call_reads_one_point():
     assert phi(_PROBES[0]) == phi(Quaternion(*_PROBES[0])) == phi.evaluate_points(_PROBES)[0]
     with pytest.raises(ValueError):
         phi(_PROBES)
+
+
+def test_negative_mode_raises_on_the_cosine_routes():
+    # these read cos(theta) and call the character kernel directly
+    f = gaussian_isotypic(-1)
+    routes = [
+        lambda: to_additive(f).evaluate_points(_PROBES),
+        lambda: isotypic_grid_function(Grid4D(2.0, 5), f),
+        lambda: radial_fourier(-1, lambda r: np.exp(-2.0 * np.pi * r * r), _PROBES),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="^angular mode N must be >= 0$"):
+            route()
