@@ -80,8 +80,10 @@ _LOG_FLOOR = -96.0
 _RADIAL_R_MAX = 64.0
 _ANGULAR_NODES = 64
 
-# radial_fourier starts at 128 nodes and doubles at most this often
+# radial_fourier doubles its panels, from 8 (128 nodes), at most this often
+# (to 32,768 nodes) until two refinements agree within _RADIAL_TOL
 _RADIAL_MAX_DOUBLINGS = 8
+_RADIAL_TOL = 1e-10
 
 # homogeneity_check's u-spacing: from 0, a subset of the native 1/64 v-nodes
 _HOMOGENEITY_U_SPACING = 1.0 / 32.0
@@ -253,7 +255,6 @@ def radial_fourier(
     radial: Callable[[np.ndarray], np.ndarray],
     probes: _Points,
     r_max: float = 6.0,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Transform of chi_N(theta) * radial(r) by the radial-angular
     reduction: the angular integral collapses to the class-measure Bessel
@@ -264,12 +265,14 @@ def radial_fourier(
 
     with rho_y the Euclidean radius of the probe.  The conjugate appears
     because the probe kernel e^{+4 pi i Re(xy)} carries the opposite phase
-    sign from the class-measure Bessel integral.  Gauss-Legendre node count
-    doubles from 128 until two refinements agree within tol, at most
-    _RADIAL_MAX_DOUBLINGS times.
+    sign from the class-measure Bessel integral.  It runs on equal panels
+    of the cached 16-node Gauss-Legendre rule, doubling from 8 panels until
+    two refinements agree within 1e-10 of max(1, largest value), at most 8
+    times, else QuadratureError.  An r_max that is not finite and positive
+    raises ValueError.
     """
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and positive, got {r_max}")
     y = _as_points(probes)
     rho = np.sqrt(np.sum(y * y, axis=1))
     # cos(theta_y), taken as 1 at the origin, where chi_N is N + 1
@@ -278,24 +281,22 @@ def radial_fourier(
     prefactor = _chebyshev_u(N, cos_theta) * (8.0 * np.pi**2 / (N + 1))
 
     prev = None
-    n = 128
-    for _ in range(_RADIAL_MAX_DOUBLINGS + 1):
-        x, w = legendre_rule(n)
-        r = 0.5 * r_max * (x + 1.0)
-        wr = 0.5 * r_max * w
+    for doubling in range(_RADIAL_MAX_DOUBLINGS + 1):
+        r, wr = gauss_panels(np.linspace(0.0, r_max, 8 * 2**doubling + 1), _PANEL_NODES)
         q = np.asarray(radial(r), dtype=complex)
         bess = np.conjugate(
-            angular_bessel(N, np.outer(r, rho).ravel()).reshape(n, len(rho))
+            angular_bessel(N, np.outer(r, rho).ravel()).reshape(len(r), len(rho))
         )
         vals = prefactor * ((wr * q * r**3) @ bess)
         if prev is not None:
             scale = float(np.abs(vals).max(initial=1.0))
-            if float(np.abs(vals - prev).max(initial=0.0)) <= tol * scale:
+            gap = float(np.abs(vals - prev).max(initial=0.0))
+            if gap <= _RADIAL_TOL * scale:
                 return vals
         prev = vals
-        n *= 2
     raise QuadratureError(
-        f"radial transform did not converge to {tol} within {_RADIAL_MAX_DOUBLINGS} doublings"
+        f"radial_fourier: refinements at {len(r) // 2} and {len(r)} nodes differ by "
+        f"{gap:.3e} (tol {_RADIAL_TOL:g} relative to {scale:.3e})"
     )
 
 
@@ -315,26 +316,34 @@ def _class_average(
     return vals.reshape(len(radii), angular_nodes) @ weights
 
 
-def _regularized_radial(
+def _regularized_pairing(
     phi: Callable[[np.ndarray], np.ndarray],
+    s: complex,
     log_floor: float,
     nodes_per_panel: int,
     angular_nodes: int,
 ):
-    """Shared quadrature layout for the regularized radial integrals: the
-    flattened variable u = 4 log r, inner panels on [log_floor, 0] (the
-    subtracted unit ball) and outer panels on [0, 4 log _RADIAL_R_MAX]."""
+    """(value, phi(0)) with, in the flattened variable u = 4 log r,
+
+        value = int_{u<0} e^{su} (avg - phi(0)) du + int_{u>0} e^{su} avg du,
+
+    avg the class average of phi over the sphere of radius r = e^{u/4},
+    on distribution_G's layout."""
     if not (math.isfinite(log_floor) and log_floor < 0.0):
         raise ValueError(f"log_floor must be finite and negative, got {log_floor}")
+    for name, count in (("nodes_per_panel", nodes_per_panel), ("angular_nodes", angular_nodes)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     phi_zero = complex(np.asarray(phi(np.zeros((1, 4))), dtype=complex)[0])
     u_top = 4.0 * math.log(_RADIAL_R_MAX)
     inner_edges = np.linspace(log_floor, 0.0, max(2, int(math.ceil(-log_floor / 2.0))) + 1)
     outer_edges = np.linspace(0.0, u_top, max(2, int(math.ceil(u_top / 2.0))) + 1)
     u_in, w_in = gauss_panels(inner_edges, nodes_per_panel)
     u_out, w_out = gauss_panels(outer_edges, nodes_per_panel)
-    u_all = np.concatenate([u_in, u_out])
-    avg = _class_average(phi, np.exp(u_all / 4.0), angular_nodes)
-    return phi_zero, (u_in, w_in, avg[: len(u_in)]), (u_out, w_out, avg[len(u_in):])
+    avg = _class_average(phi, np.exp(np.concatenate([u_in, u_out]) / 4.0), angular_nodes)
+    k = len(u_in)
+    inner = np.sum(w_in * np.exp(s * u_in) * (avg[:k] - phi_zero))
+    return inner + np.sum(w_out * np.exp(s * u_out) * avg[k:]), phi_zero
 
 
 def distribution_G(
@@ -355,12 +364,9 @@ def distribution_G(
     panels at most 2 wide in u, from log_floor up to 0 (the subtracted
     unit ball) and from 0 up to the fixed r = 64, with angular_nodes
     class-measure nodes per radius.  A log_floor that is not finite and
-    negative raises ValueError.
+    negative, or a node count below 1, raises ValueError.
     """
-    phi0, inner, outer = _regularized_radial(phi, log_floor, nodes_per_panel, angular_nodes)
-    u_in, w_in, avg_in = inner
-    u_out, w_out, avg_out = outer
-    value = np.sum(w_in * (avg_in - phi0)) + np.sum(w_out * avg_out)
+    value, phi0 = _regularized_pairing(phi, 0.0, log_floor, nodes_per_panel, angular_nodes)
     return complex(value + G_CONSTANT * phi0)
 
 
@@ -378,11 +384,7 @@ def delta_s(s: complex, phi: Callable[[np.ndarray], np.ndarray]) -> complex:
     s = complex(s)
     if s == 0 or s.real <= -0.25:
         raise ValueError("s must satisfy Re(s) > -1/4 and s != 0")
-    phi0, inner, outer = _regularized_radial(phi, _LOG_FLOOR, _PANEL_NODES, _ANGULAR_NODES)
-    u_in, w_in, avg_in = inner
-    u_out, w_out, avg_out = outer
-    value = np.sum(w_in * np.exp(s * u_in) * (avg_in - phi0))
-    value += np.sum(w_out * np.exp(s * u_out) * avg_out)
+    value, phi0 = _regularized_pairing(phi, s, _LOG_FLOOR, _PANEL_NODES, _ANGULAR_NODES)
     return complex(2.0 * np.pi**2 * value + 2.0 * np.pi**2 / s * phi0)
 
 
@@ -490,10 +492,14 @@ def homogeneity_check(N: int, s: complex, f: IsotypicFunction, u_half_width: flo
     factor cancels in the relative residual, so only the radial integrals
     are computed.  They run on the uniform grid of spacing 1/32 in
     u = log|x| over |u| <= u_half_width, through profile_value: from 0
-    these u-nodes are a subset of the profile's native 1/64 v-nodes.
+    these u-nodes are a subset of the profile's native 1/64 v-nodes.  A
+    u_half_width that is not finite, below 1/32 or beyond f's v-window
+    raises ValueError.
     """
     if N != f.N:
         raise ValueError("N must match the sector of f")
+    if not _HOMOGENEITY_U_SPACING <= u_half_width <= f.v_half_width:
+        raise ValueError(f"u_half_width must lie in [0.03125, {f.v_half_width:g}], got {u_half_width}")
     s = complex(s)
     if not 0.0 < s.real < 1.0:
         raise ValueError("s must lie in the open strip 0 < Re(s) < 1")

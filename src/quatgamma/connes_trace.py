@@ -72,6 +72,11 @@ __all__ = [
 
 DEFAULT_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
+# refinement tolerance: TraceConfig's and trace_direct's default, trace_spectral's value
+_TOLERANCE = 1e-8
+# nodes per panel of trace_direct's coarse pass; its fine pass has half as many again
+_DIRECT_PANEL_NODES = 16
+
 
 def _check_cutoff(lam: float) -> None:
     """Refuse a cutoff that is not a finite number above 1."""
@@ -86,7 +91,7 @@ class TraceConfig:
 
     f: IsotypicFunction
     lambdas: Tuple[float, ...] = DEFAULT_LAMBDAS
-    tolerance: float = 1e-8
+    tolerance: float = _TOLERANCE
 
     def __post_init__(self) -> None:
         lams = tuple(float(l) for l in self.lambdas)
@@ -129,12 +134,8 @@ def _direct_panel_edges(v_min: float, v_top: float) -> np.ndarray:
 
 
 def _direct_quadrature(
-    gamma_f: IsotypicFunction,
-    lam: float,
-    nodes_per_panel: int,
-    v_min: float,
+    gamma_f: IsotypicFunction, two_log: float, nodes_per_panel: int, v_min: float
 ) -> complex:
-    two_log = 2.0 * math.log(lam)
     edges = _direct_panel_edges(v_min, two_log)
     v, wt = gauss_panels(edges, nodes_per_panel)
     kernel = profile_value(gamma_f.spectral_profile, v)
@@ -144,29 +145,31 @@ def _direct_quadrature(
 
 
 def trace_direct(
-    f: IsotypicFunction,
-    lam: float,
-    tol: float = 1e-8,
-    v_min: float = -40.0,
-    nodes_per_panel: int = 16,
+    f: IsotypicFunction, lam: float, tol: float = _TOLERANCE, v_min: float = -40.0
 ) -> complex:
     """Trace by the additive integral, radially reduced to
 
         2 pi^2 int_{v_min}^{2 log Lambda} (2 log Lambda - v) K_Gamma(v)
                angular_bessel(N, e^{v/4}) e^{v/2} dv
 
-    where K_Gamma is the log-profile of Gamma(f).  Two refinements (node
-    count raised by half) must agree within tol, else the quadrature
-    reports failure.
+    where K_Gamma is the log-profile of Gamma(f).  Two refinements (16
+    and 24 nodes per panel) must agree within tol, else the quadrature
+    reports failure.  A v_min outside [-f.v_half_width, 2 log Lambda)
+    raises ValueError: an empty interval would pass that check with 0.
     """
     _check_cutoff(lam)
+    two_log = 2.0 * math.log(lam)
+    if not -f.v_half_width <= v_min < two_log:
+        raise ValueError(
+            f"v_min must lie in [-{f.v_half_width:g}, 2 log(cutoff) = {two_log:.4g}), got {v_min}"
+        )
     gamma_f = gamma_transform(f)
-    coarse = _direct_quadrature(gamma_f, lam, nodes_per_panel, v_min)
-    fine = _direct_quadrature(gamma_f, lam, nodes_per_panel + nodes_per_panel // 2, v_min)
+    n = _DIRECT_PANEL_NODES
+    coarse = _direct_quadrature(gamma_f, two_log, n, v_min)
+    fine = _direct_quadrature(gamma_f, two_log, n + n // 2, v_min)
     if abs(coarse - fine) > tol * max(1.0, abs(fine)):
         raise QuadratureError(
-            f"trace_direct: refinements at {nodes_per_panel} and "
-            f"{nodes_per_panel + nodes_per_panel // 2} nodes per panel disagree by "
+            f"trace_direct: refinements at {n} and {n + n // 2} nodes per panel disagree by "
             f"{abs(coarse - fine):.3e} (tol {tol:g}) at cutoff {lam}"
         )
     return fine
@@ -227,15 +230,16 @@ def _spectral_sweep(f: IsotypicFunction, lambdas: Sequence[float], tol: float) -
     return fine
 
 
-def trace_spectral(f: IsotypicFunction, lam: float, tol: float = 1e-8) -> complex:
+def trace_spectral(f: IsotypicFunction, lam: float) -> complex:
     """Trace through Gamma max(2 log Lambda + A, 0) Gamma^{-1} applied to
     the inverted profile, read off at the identity: the one-cutoff case
-    of _spectral_sweep.  Two panel widths must agree within tol; a cutoff
+    of _spectral_sweep.  Two panel widths must agree within 1e-8
+    (residual_sweep takes its tolerance from TraceConfig); a cutoff
     of e^{V/2} or more puts the kink outside the log window and is
     refused.  In a sweep the other kinks split the panels, so a trace
     from residual_sweep can differ from this one in its last bits
     (measured <= 4e-16 relative); reruns are byte-identical."""
-    return complex(_spectral_sweep(f, (lam,), tol)[0, 0])
+    return complex(_spectral_sweep(f, (lam,), _TOLERANCE)[0, 0])
 
 
 # ------------------------------------------------------------------ sweeps

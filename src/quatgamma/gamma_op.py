@@ -15,12 +15,12 @@ realized exactly as multiplication by v on the K-side):
 An IsotypicFunction carries one picture, the spectral profile psi.  The log
 side K is derived on each read and never stored; only A (and B via A) reads it.
 
-Grid policy: functions are built by default on the wide log-window
-v in [-64, 64].  Outputs of H, B, and the Gamma operator have e^{-|v|/2}
-tails (the multiplier's analytic continuation has a pole half a unit off
-the line), which are ~1e-3 at |v| = 16 but below 1e-13 at |v| = 64; the
-narrow default window of spectral_line would fail the decay guard and,
-worse, bias operator-identity checks at the 1e-2 level.
+Grid policy, owned here: functions are built by default with spacing 1/64
+on the windows |v| <= 64 and |tau| <= 64 (the four DEFAULT_* constants;
+the CLI copies the v half-width to refuse cutoffs before numpy loads, and
+a test pins the copy).  Outputs of H, B, and the Gamma operator have
+e^{-|v|/2} tails (the multiplier's analytic continuation has a pole half a
+unit off the line), which fall below 1e-13 at |v| = 64.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ import numpy as np
 from .quat_core import _Points, _as_points
 from .specfun import gamma_multiplier, h_multiplier, k_multiplier
 from .spectral_line import (
-    DEFAULT_SPECTRAL_HALF_WIDTH,
-    DEFAULT_SPECTRAL_SPACING,
-    WIDE_LOG_HALF_WIDTH,
     Profile,
     check_spectral,
     evaluate_at_one,
@@ -66,7 +63,9 @@ __all__ = [
 SQRT_2PI2 = math.sqrt(2.0 * math.pi**2)
 
 DEFAULT_V_SPACING = 1.0 / 64.0
-DEFAULT_V_HALF_WIDTH = WIDE_LOG_HALF_WIDTH  # 64.0
+DEFAULT_V_HALF_WIDTH = 64.0
+DEFAULT_TAU_SPACING = 1.0 / 64.0
+DEFAULT_TAU_HALF_WIDTH = 64.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +87,8 @@ class IsotypicFunction:
         fn: Callable[[np.ndarray], np.ndarray],
         v_spacing: float = DEFAULT_V_SPACING,
         v_half_width: float = DEFAULT_V_HALF_WIDTH,
-        tau_spacing: float = DEFAULT_SPECTRAL_SPACING,
-        tau_half_width: float = DEFAULT_SPECTRAL_HALF_WIDTH,
+        tau_spacing: float = DEFAULT_TAU_SPACING,
+        tau_half_width: float = DEFAULT_TAU_HALF_WIDTH,
     ) -> "IsotypicFunction":
         profile = Profile.from_function(fn, v_spacing, v_half_width)
         return cls(N, to_spectral(profile, tau_spacing, tau_half_width), v_spacing, v_half_width)

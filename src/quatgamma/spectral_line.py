@@ -9,16 +9,17 @@ one Profile type holds either side.  The pair is
 Operators act on psi by pointwise multipliers; evaluation of the function
 at the identity (u = 1, v = 0) is (1/2pi) int psi d tau.
 
-Grids must satisfy the sampling bounds  spacing_v * half_width_tau <= pi
-and  spacing_tau * half_width_v <= pi  (the discrete sum is periodic with
-period 2 pi / spacing, so beyond these the windows alias; <= pi/4 leaves a
-comfortable margin and is what the defaults provide on the narrow window).
-Profiles are expected to have decayed at their grid ends; transforms check
-this against a fixed guard: an edge sample above 1e-8 of max(1, peak)
-raises DecayError.  The guard is 1e-8 rather than the 1e-12 the canonical
-test profiles satisfy: exact operator outputs carry e^{-|v|/2} tails (the
-Gamma-factor pole sits half a unit off the line), and legitimate wide-grid
-intermediates bottom out near 1e-12 without ever crossing below it.
+Every transform takes its target grid; this module sets no grid policy
+(gamma_op owns it).  Grids must satisfy the sampling bounds
+spacing_v * half_width_tau <= pi  and  spacing_tau * half_width_v <= pi
+(the discrete sum is periodic with period 2 pi / spacing, so beyond these
+the windows alias).  Profiles are expected to have decayed at their grid
+ends; transforms check this against a fixed guard: an edge sample above
+1e-8 of max(1, peak) raises DecayError.  The guard is 1e-8 rather than
+the 1e-12 the canonical test profiles satisfy: exact operator outputs
+carry e^{-|v|/2} tails (the Gamma-factor pole sits half a unit off the
+line), and legitimate wide-grid intermediates bottom out near 1e-12
+without ever crossing below it.
 
 Both transforms run through one resampler, _resample, and differ only in
 the sign of i and the scale (spacing_v, or spacing_tau / 2 pi).  Its sum
@@ -57,19 +58,7 @@ __all__ = [
     "check_spectral",
     "evaluate_at_one",
     "profile_value",
-    "DEFAULT_LOG_SPACING",
-    "DEFAULT_LOG_HALF_WIDTH",
-    "DEFAULT_SPECTRAL_SPACING",
-    "DEFAULT_SPECTRAL_HALF_WIDTH",
-    "WIDE_LOG_HALF_WIDTH",
 ]
-
-DEFAULT_LOG_SPACING = 1.0 / 64.0
-DEFAULT_LOG_HALF_WIDTH = 16.0
-DEFAULT_SPECTRAL_SPACING = 1.0 / 64.0
-DEFAULT_SPECTRAL_HALF_WIDTH = 64.0
-# wide v-window for operator outputs with e^{-|v|/2} tails
-WIDE_LOG_HALF_WIDTH = 64.0
 
 # an edge sample above this fraction of max(1, peak) is a DecayError
 _DECAY_GUARD = 1e-8
@@ -177,11 +166,7 @@ def _resample(src: Profile, spacing: float, half_width: float, sign: complex, sc
     return Profile(spacing, half_width, scale * phase * vals)
 
 
-def to_spectral(
-    profile: Profile,
-    spacing: float = DEFAULT_SPECTRAL_SPACING,
-    half_width: float = DEFAULT_SPECTRAL_HALF_WIDTH,
-) -> Profile:
+def to_spectral(profile: Profile, spacing: float, half_width: float) -> Profile:
     """psi(tau_k) = spacing_v * sum_m K(v_m) e^{i tau_k v_m} on the
     requested tau-grid (chirp-z evaluation, exact to rounding)."""
     _check_decay(profile.samples, "log profile")
@@ -195,11 +180,7 @@ def check_spectral(psi: Profile, spacing: float, half_width: float) -> None:
     _check_reciprocity(spacing, half_width, psi.spacing, psi.half_width)
 
 
-def from_spectral(
-    psi: Profile,
-    spacing: float = DEFAULT_LOG_SPACING,
-    half_width: float = DEFAULT_LOG_HALF_WIDTH,
-) -> Profile:
+def from_spectral(psi: Profile, spacing: float, half_width: float) -> Profile:
     """K(v_m) = (spacing_tau / 2 pi) * sum_k psi(tau_k) e^{-i tau_k v_m}."""
     check_spectral(psi, spacing, half_width)
     return _resample(psi, spacing, half_width, -1j, psi.spacing / (2.0 * np.pi))

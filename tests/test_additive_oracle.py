@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quatgamma import _quadrature, additive_oracle
+from quatgamma import QuadratureError, _quadrature, additive_oracle
 from quatgamma._quadrature import gauss_panels, legendre_rule
 from quatgamma.additive_oracle import (
     G_CONSTANT,
@@ -363,6 +363,35 @@ def test_radial_matches_brute(box, N):
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-2
 
 
+def test_radial_failure_is_reported(monkeypatch):
+    # at a zero tolerance the ladder runs all eight doublings, up to 2,048
+    # equal panels of the cached 16-node rule (32,768 nodes), and builds no
+    # other Gauss-Legendre rule on the way
+    def q(r):
+        return r * np.exp(-2.0 * np.pi * r**2)
+
+    probes = seeded_probes(3, 0.3, 0.9, seed=5)
+    radial_fourier(1, q, probes)
+
+    def rebuild(n):
+        raise AssertionError(f"Gauss-Legendre rule with {n} nodes built")
+
+    monkeypatch.setattr(_quadrature, "leggauss", rebuild)
+    monkeypatch.setattr(additive_oracle, "_RADIAL_TOL", 0.0)
+    with pytest.raises(
+        QuadratureError,
+        match=r"^radial_fourier: refinements at 16384 and 32768 nodes differ by \S+ \(tol 0 ",
+    ):
+        radial_fourier(1, q, probes)
+
+
+@pytest.mark.parametrize("r_max", [0.0, -1.0, math.nan, math.inf])
+def test_radial_refuses_r_max(r_max):
+    # a nan r_max passed the old r_max <= 0 check and ran for minutes
+    with pytest.raises(ValueError, match=f"^r_max must be finite and positive, got {r_max}$"):
+        radial_fourier(0, lambda r: np.exp(-2.0 * np.pi * r**2), [[0.5, 0.0, 0.0, 0.0]], r_max=r_max)
+
+
 # ------------------------------------------------------- the distribution G
 
 
@@ -391,6 +420,16 @@ def test_g_rejects_a_floor_that_is_not_finite_and_negative(floor):
         distribution_G(omega_exact, log_floor=floor)
     with pytest.raises(ValueError, match="log_floor"):
         op_b_via_distribution(gaussian_isotypic(0), log_floor=floor)
+
+
+@pytest.mark.parametrize("name, count", [("nodes_per_panel", 0), ("angular_nodes", 0), ("angular_nodes", -3)])
+def test_g_refuses_empty_node_counts(name, count):
+    # angular_nodes = 0 gave -88.34 for the Gaussian's 2.8302; the others
+    # failed inside numpy without naming the parameter
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {count}$"):
+        distribution_G(omega_exact, **{name: count})
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        op_b_via_distribution(gaussian_isotypic(0), **{name: count})
 
 
 def test_g_accepts_the_floors_in_use():
@@ -603,7 +642,7 @@ def test_homogeneity_identity(N):
         assert homogeneity_check(N, 0.5 + 1j * tau, f) < 1e-8
 
 
-@pytest.mark.parametrize("u_half_width", [48.0, 8.0])
+@pytest.mark.parametrize("u_half_width", [48.0, 8.0, 1.0 / 32.0, 64.0])
 def test_homogeneity_is_the_radial_residual(u_half_width, monkeypatch):
     # both pairings carry the same angular factor and sqrt(2 pi^2), which
     # cancel in the relative residual: no angular quadrature runs
@@ -629,6 +668,13 @@ def test_homogeneity_validation():
         homogeneity_check(0, 0.5, f)
     with pytest.raises(ValueError):
         homogeneity_check(1, 1.5, f)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, 1.0 / 64.0, math.nan, math.inf, 64.5])
+def test_homogeneity_refuses_a_window_off_the_profile(bad):
+    # u_half_width = -1 returned 0.0, a perfect residual on no nodes
+    with pytest.raises(ValueError, match=rf"^u_half_width must lie in \[0\.03125, 64\], got {bad}$"):
+        homogeneity_check(1, 0.5 + 1j, gaussian_isotypic(N=1), u_half_width=bad)
 
 
 @pytest.mark.parametrize("N", [0, 1])

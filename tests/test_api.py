@@ -32,7 +32,7 @@ def test_all_names_resolve(name):
 # every defaulted parameter of the functions, methods and dataclass
 # __init__s that each module lists in __all__ and defines itself
 DEFAULTED_PARAMETERS = {
-    "quatgamma.additive_oracle.radial_fourier": ("r_max", "tol"),
+    "quatgamma.additive_oracle.radial_fourier": ("r_max",),
     "quatgamma.additive_oracle.distribution_G": ("log_floor", "nodes_per_panel", "angular_nodes"),
     "quatgamma.additive_oracle.homogeneity_check": ("u_half_width",),
     "quatgamma.additive_oracle.op_b_via_distribution": (
@@ -41,8 +41,7 @@ DEFAULTED_PARAMETERS = {
         "angular_nodes",
     ),
     "quatgamma.connes_trace.TraceConfig.__init__": ("lambdas", "tolerance"),
-    "quatgamma.connes_trace.trace_direct": ("tol", "v_min", "nodes_per_panel"),
-    "quatgamma.connes_trace.trace_spectral": ("tol",),
+    "quatgamma.connes_trace.trace_direct": ("tol", "v_min"),
     "quatgamma.connes_trace.fit_trace_expansion": ("min_lambda",),
     "quatgamma.gamma_op.IsotypicFunction.from_log_function": (
         "v_spacing",
@@ -54,8 +53,6 @@ DEFAULTED_PARAMETERS = {
     "quatgamma.gamma_op.gaussian_isotypic": ("N", "center", "width"),
     "quatgamma.quat_core.Quaternion.__init__": ("x1", "x2", "x3"),
     "quatgamma.specfun.gamma0_expansion": ("tol",),
-    "quatgamma.spectral_line.to_spectral": ("spacing", "half_width"),
-    "quatgamma.spectral_line.from_spectral": ("spacing", "half_width"),
 }
 
 
@@ -83,4 +80,4 @@ def test_defaulted_parameters_are_pinned():
     for name in MODULES:
         found.update(_defaulted_parameters(importlib.import_module(name)))
     assert found == DEFAULTED_PARAMETERS
-    assert sum(len(names) for names in found.values()) == 33
+    assert sum(len(names) for names in found.values()) == 26

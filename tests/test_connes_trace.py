@@ -463,19 +463,35 @@ def test_routes_reuse_cached_legendre_rules(standard, monkeypatch):
     trace_spectral(standard, 4.0)
 
 
-def test_direct_refinement_failure_is_reported(standard):
+def test_direct_refinement_failure_is_reported(standard, monkeypatch):
     # two nodes per panel cannot resolve a full oscillation period; the
     # coarse/fine disagreement is 5e-3 at this cutoff
-    with pytest.raises(QuadratureError, match=r"trace_direct: .*\(tol 1e-08\)"):
-        trace_direct(standard, 8.0, nodes_per_panel=2)
+    monkeypatch.setattr(connes_trace, "_DIRECT_PANEL_NODES", 2)
+    with pytest.raises(QuadratureError, match=r"trace_direct: refinements at 2 and 3 .*\(tol 1e-08\)"):
+        trace_direct(standard, 8.0)
 
 
-def test_spectral_refinement_check_is_live(standard):
+@pytest.mark.parametrize("v_min", [math.nan, math.inf, -math.inf, 5.0, 2.0 * math.log(2.0), -64.5])
+def test_direct_refuses_an_empty_or_unbounded_interval(standard, v_min):
+    # at cutoff 2, v_min = 5 or nan gave 0j: both refinements were empty
+    # sums, so they agreed
+    with pytest.raises(ValueError, match=r"^v_min must lie in \[-64, 2 log\(cutoff\) = 1\.386\)"):
+        trace_direct(standard, 2.0, v_min=v_min)
+
+
+def test_direct_accepts_the_window_edge(standard):
+    # the same integrand on [-64, -40] adds below 1e-8 of the trace
+    edge = trace_direct(standard, 2.0, v_min=-64.0)
+    assert abs(edge - trace_direct(standard, 2.0)) <= 1e-8 * abs(edge)
+
+
+def test_spectral_refinement_check_is_live(standard, monkeypatch):
     # the above-kink integrals at panel widths 1.0 and 0.5 differ by 2.4e-19
     # in the trace, so a zero tolerance must trip the guard, which names
     # the cutoff, the first of a sweep's list that fails
+    monkeypatch.setattr(connes_trace, "_TOLERANCE", 0.0)
     with pytest.raises(QuadratureError, match=r"trace_spectral: .*\(tol 0\) at cutoff 4\.0$"):
-        trace_spectral(standard, 4.0, tol=0.0)
+        trace_spectral(standard, 4.0)
     with pytest.raises(QuadratureError, match=r"\(tol 0\) at cutoff 2\.0$"):
         residual_sweep(TraceConfig(f=standard, lambdas=(2.0, 4.0), tolerance=0.0))
 

@@ -17,10 +17,6 @@ from quatgamma import AliasingError, DecayError, spectral_line
 from quatgamma.gamma_op import gamma_transform, gaussian_isotypic, op_B, op_H
 from quatgamma.specfun import gamma_multiplier
 from quatgamma.spectral_line import (
-    DEFAULT_LOG_HALF_WIDTH,
-    DEFAULT_LOG_SPACING,
-    DEFAULT_SPECTRAL_HALF_WIDTH,
-    DEFAULT_SPECTRAL_SPACING,
     Profile,
     _unit_chirp_sum,
     evaluate_at_one,
@@ -29,8 +25,10 @@ from quatgamma.spectral_line import (
     to_spectral,
 )
 
-LOG_GRID = (DEFAULT_LOG_SPACING, DEFAULT_LOG_HALF_WIDTH)
-TAU_GRID = (DEFAULT_SPECTRAL_SPACING, DEFAULT_SPECTRAL_HALF_WIDTH)
+# the transforms take their grids; these tests run the narrow v-window
+# |v| <= 16 against |tau| <= 64, both at spacing 1/64
+LOG_GRID = (1.0 / 64.0, 16.0)
+TAU_GRID = (1.0 / 64.0, 64.0)
 
 
 def _grid(spacing: float, half_width: float) -> np.ndarray:
@@ -106,7 +104,7 @@ def random_bump_profile(seed: int) -> Profile:
 
 
 def test_gaussian_pair_forward():
-    psi = to_spectral(gaussian_log_profile())
+    psi = to_spectral(gaussian_log_profile(), *TAU_GRID)
     ref = np.sqrt(2.0 * np.pi) * np.exp(-0.5 * psi.grid**2)
     assert np.max(np.abs(psi.samples - ref)) <= 1e-12
 
@@ -115,7 +113,7 @@ def test_gaussian_pair_inverse():
     psi = Profile.from_function(
         lambda t: np.sqrt(2.0 * np.pi) * np.exp(-0.5 * t**2), *TAU_GRID
     )
-    k = from_spectral(psi)
+    k = from_spectral(psi, *LOG_GRID)
     ref = np.exp(-0.5 * k.grid**2)
     assert np.max(np.abs(k.samples - ref)) <= 1e-12
 
@@ -125,17 +123,17 @@ def test_zero_profiles():
     for zero in (np.zeros_like, lambda x: 0.0):
         zero_k = Profile.from_function(zero, *LOG_GRID)
         assert zero_k.samples.shape == zero_k.grid.shape
-        assert np.all(to_spectral(zero_k).samples == 0)
+        assert np.all(to_spectral(zero_k, *TAU_GRID).samples == 0)
         zero_psi = Profile.from_function(zero, *TAU_GRID)
         assert zero_psi.samples.shape == zero_psi.grid.shape
-        assert np.all(from_spectral(zero_psi).samples == 0)
+        assert np.all(from_spectral(zero_psi, *LOG_GRID).samples == 0)
         assert evaluate_at_one(zero_psi) == 0
 
 
 def test_shift_theorem():
     # K(v - 1) has spectral profile e^{i tau} psi(tau)
-    psi0 = to_spectral(gaussian_log_profile())
-    psi1 = to_spectral(gaussian_log_profile(center=1.0))
+    psi0 = to_spectral(gaussian_log_profile(), *TAU_GRID)
+    psi1 = to_spectral(gaussian_log_profile(center=1.0), *TAU_GRID)
     ref = np.exp(1j * psi0.grid) * psi0.samples
     assert np.max(np.abs(psi1.samples - ref)) <= 1e-12
 
@@ -143,7 +141,7 @@ def test_shift_theorem():
 def test_round_trip_random_bumps():
     for seed in (101, 102, 103):
         k = random_bump_profile(seed)
-        back = from_spectral(to_spectral(k))
+        back = from_spectral(to_spectral(k, *TAU_GRID), *LOG_GRID)
         assert np.max(np.abs(back.samples - k.samples)) <= 1e-8
 
 
@@ -152,11 +150,11 @@ def test_round_trip_random_bumps():
 
 def test_fast_path_matches_direct_sum():
     k = random_bump_profile(7)
-    fast = to_spectral(k)
+    fast = to_spectral(k, *TAU_GRID)
     slow = _to_spectral_direct(k, fast.spacing, fast.half_width)
     assert np.max(np.abs(fast.samples - slow.samples)) <= 1e-12
 
-    back_fast = from_spectral(fast)
+    back_fast = from_spectral(fast, *LOG_GRID)
     back_slow = _from_spectral_direct(fast, back_fast.spacing, back_fast.half_width)
     assert np.max(np.abs(back_fast.samples - back_slow.samples)) <= 1e-12
 
@@ -178,7 +176,7 @@ def _chirp_sum_direct(x: np.ndarray, n_out: int, angle: float, chunk: int = 256)
 def test_unit_chirp_sum_matches_direct_sum(p, n_out):
     rng = np.random.default_rng(p + n_out)
     x = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-    angle = DEFAULT_SPECTRAL_SPACING * DEFAULT_LOG_SPACING
+    angle = TAU_GRID[0] * LOG_GRID[0]
     fast = _unit_chirp_sum(x, n_out, angle)
     slow = _chirp_sum_direct(x, n_out, angle)
     bound = 1e-13 * np.sum(np.abs(x))
@@ -201,7 +199,8 @@ def test_transforms_run_at_the_shortest_exact_length(monkeypatch):
         return fft(a, n, **kwargs)
 
     monkeypatch.setattr(spectral_line, "fft", recording)
-    psi = to_spectral(Profile.from_function(lambda v: np.exp(-0.5 * v * v), 1.0 / 64.0, 64.0))
+    k = Profile.from_function(lambda v: np.exp(-0.5 * v * v), 1.0 / 64.0, 64.0)
+    psi = to_spectral(k, *TAU_GRID)
     assert len(psi.samples) == 8193
     back = from_spectral(psi, 1.0 / 64.0, 64.0)
     assert len(back.samples) == 8193
@@ -222,32 +221,32 @@ def test_unimodular_multiplier_preserves_modulus():
 
 
 def test_evaluate_at_one_gaussian():
-    psi = to_spectral(gaussian_log_profile())
+    psi = to_spectral(gaussian_log_profile(), *TAU_GRID)
     assert abs(evaluate_at_one(psi) - 1.0) <= 1e-12
 
 
 def test_evaluate_matches_inverse_at_zero():
     k = random_bump_profile(11)
-    psi = to_spectral(k)
-    back = from_spectral(psi)
+    psi = to_spectral(k, *TAU_GRID)
+    back = from_spectral(psi, *LOG_GRID)
     mid = len(back.samples) // 2
     assert abs(evaluate_at_one(psi) - back.samples[mid]) <= 1e-10
 
 
 def test_evaluate_grid_halving_stability():
     k = gaussian_log_profile()
-    v1 = evaluate_at_one(to_spectral(k))
+    v1 = evaluate_at_one(to_spectral(k, *TAU_GRID))
     fine = Profile.from_function(
         lambda v: np.exp(-0.5 * v**2), k.spacing / 2.0, k.half_width
     )
-    v2 = evaluate_at_one(to_spectral(fine, spacing=1.0 / 128.0))
+    v2 = evaluate_at_one(to_spectral(fine, 1.0 / 128.0, TAU_GRID[1]))
     assert abs(v1 - v2) <= 1e-10
 
 
 def test_profile_value_on_and_off_grid():
     k = gaussian_log_profile()
-    psi = to_spectral(k)
-    back = from_spectral(psi)
+    psi = to_spectral(k, *TAU_GRID)
+    back = from_spectral(psi, *LOG_GRID)
     # on-grid agreement with the inverse transform
     idx = np.array([100, 1024, 1500])
     vals = profile_value(psi, back.grid[idx])
@@ -338,7 +337,7 @@ def test_profile_value_far_off_window_is_periodic():
 def test_parseval():
     for seed in (21, 22):
         k = random_bump_profile(seed)
-        psi = to_spectral(k)
+        psi = to_spectral(k, *TAU_GRID)
         lhs = k.spacing * np.sum(np.abs(k.samples) ** 2)
         rhs = psi.spacing / (2.0 * np.pi) * np.sum(np.abs(psi.samples) ** 2)
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
@@ -349,7 +348,7 @@ def test_v_multiplication_is_spectral_derivative():
     # of psi evaluated off-grid (step small enough for the 1e-6 target)
     k = gaussian_log_profile()
     v_k = Profile(k.spacing, k.half_width, k.grid * k.samples)
-    lhs = to_spectral(v_k)
+    lhs = to_spectral(v_k, *TAU_GRID)
     delta = 5e-4
     taus = lhs.grid[::64]
 
@@ -366,19 +365,25 @@ def test_v_multiplication_is_spectral_derivative():
 def test_aliasing_guard():
     k = gaussian_log_profile()
     with pytest.raises(AliasingError):
-        to_spectral(k, half_width=300.0)
-    psi = to_spectral(k)
+        to_spectral(k, TAU_GRID[0], 300.0)
+    psi = to_spectral(k, *TAU_GRID)
     with pytest.raises(AliasingError):
-        from_spectral(psi, half_width=256.0)
+        from_spectral(psi, LOG_GRID[0], 256.0)
 
 
 def test_decay_guard():
     flat = Profile.from_function(np.ones_like, *LOG_GRID)
     with pytest.raises(DecayError):
-        to_spectral(flat)
+        to_spectral(flat, *TAU_GRID)
     wide = Profile.from_function(lambda t: np.exp(-0.5 * (t / 40.0) ** 2), *TAU_GRID)
     with pytest.raises(DecayError):
-        from_spectral(wide)
+        from_spectral(wide, *LOG_GRID)
+
+
+def test_grid_policy_lives_in_gamma_op():
+    # the transforms take their grids; the one default grid is gamma_op's,
+    # so this module exports no constant
+    assert [n for n in vars(spectral_line) if n.isupper() and not n.startswith("_")] == []
 
 
 def test_profile_length_validation():
