@@ -71,7 +71,7 @@ _SPECTRAL_HALF_WIDTH = 64.0
 
 # largest sector functional-eq runs: the moment quadrature's own limit
 # (additive_oracle._MOMENT_QUADRATURE_MAX_N)
-_MAX_MOMENT_N = 11
+_MAX_MOMENT_N = 337
 
 # one sector of a table: N (None: no sector column) and its value columns
 _Block = Tuple[Optional[int], Sequence["np.ndarray"]]
@@ -97,9 +97,11 @@ def _apply_thread_env() -> None:
         os.environ.setdefault(var, str(int(want)))
 
 
-def _manifest(command: str, **params: object) -> Dict[str, object]:
-    out: Dict[str, object] = {"command": command, "version": __version__}
-    out.update(params)
+def _manifest(args: argparse.Namespace) -> Dict[str, object]:
+    """The run manifest: the command, the package version and every flag
+    of the command that has a value, less --out."""
+    out: Dict[str, object] = {"command": args.command, "version": __version__}
+    out.update((k, v) for k, v in vars(args).items() if k not in ("command", "func", "out") and v is not None)
     return out
 
 
@@ -161,18 +163,20 @@ def _write_json(path: str, payload: Dict[str, object]) -> None:
         fh.write("\n")
 
 
-_Table = Tuple[Dict[str, object], Sequence[str], Sequence["np.ndarray"], List[_Block], Dict[str, object]]
+_Table = Tuple[Sequence[str], Sequence["np.ndarray"], List[_Block], Dict[str, object]]
 
 
 def _table_command(build: Callable[[argparse.Namespace], _Table]):
-    """Turn build(args) -> (manifest, header, keys, blocks, figures) into a
-    table command: time it, write the CSV to --out, and write the summary
-    beside it (manifest, duration, row count and the command's figures)."""
+    """Turn build(args) -> (header, keys, blocks, figures) into a table
+    command: time it, write the CSV to --out under the run manifest, and
+    write the summary beside it (manifest, duration, row count and the
+    command's figures)."""
 
     @functools.wraps(build)
     def run(args: argparse.Namespace) -> int:
         start = time.monotonic()
-        manifest, header, keys, blocks, figures = build(args)
+        header, keys, blocks, figures = build(args)
+        manifest = _manifest(args)
         rows = _write_csv(args.out, manifest, header, keys, blocks)
         duration = time.monotonic() - start
         _write_json(
@@ -280,13 +284,14 @@ def _sector_range(args: argparse.Namespace) -> range:
     return range(args.n_min, args.n_max + 1)
 
 
-def _seeded_probes(count: int, seed: int, lo: float = 0.4, hi: float = 0.9):
+def _seeded_probes(count: int, seed: int):
+    """count points in random directions at radii uniform on [0.4, 0.9]."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(count, 4))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    pts *= (lo + (hi - lo) * rng.random(count))[:, None]
+    pts *= (0.4 + 0.5 * rng.random(count))[:, None]
     return pts
 
 
@@ -307,19 +312,8 @@ def cmd_gamma_table(args: argparse.Namespace) -> _Table:
     if tau_mode:
         taus = _tau_grid(args, sectors)
         svals = 0.5 + 1j * taus
-        manifest = _manifest(
-            "gamma-table",
-            n_min=args.n_min,
-            n_max=args.n_max,
-            tau_min=args.tau_min,
-            tau_max=args.tau_max,
-            tau_step=args.tau_step,
-        )
     else:
         svals = np.asarray(_parse_s_grid(args.s_grid, sectors), dtype=complex)
-        manifest = _manifest(
-            "gamma-table", n_min=args.n_min, n_max=args.n_max, s_grid=args.s_grid
-        )
 
     blocks = []
     unit_err = 0.0
@@ -334,7 +328,7 @@ def cmd_gamma_table(args: argparse.Namespace) -> _Table:
 
     header = ("N", "re_s", "im_s", "re_gamma", "im_gamma", "abs_gamma")
     figures = {"max_unit_modulus_error": unit_err} if tau_mode else {}
-    return manifest, header, (svals.real, svals.imag), blocks, figures
+    return header, (svals.real, svals.imag), blocks, figures
 
 
 @_table_command
@@ -346,14 +340,6 @@ def cmd_spectral_scan(args: argparse.Namespace) -> _Table:
     from .specfun import h_multiplier, k_multiplier
 
     taus = _tau_grid(args, sectors)
-    manifest = _manifest(
-        "spectral-scan",
-        n_min=args.n_min,
-        n_max=args.n_max,
-        tau_min=args.tau_min,
-        tau_max=args.tau_max,
-        tau_step=args.tau_step,
-    )
 
     blocks = []
     min_h = math.inf
@@ -371,7 +357,7 @@ def cmd_spectral_scan(args: argparse.Namespace) -> _Table:
             max_k, max_k_at = float(abs(k[j])), (n, float(taus[j]))
         blocks.append((n, (h, k)))
 
-    return manifest, ("N", "tau", "h", "k"), (taus,), blocks, {
+    return ("N", "tau", "h", "k"), (taus,), blocks, {
         "min_h": min_h,
         "min_h_at": list(min_h_at),
         "max_abs_k": max_k,
@@ -385,12 +371,9 @@ def cmd_functional_eq(args: argparse.Namespace) -> _Table:
     if args.n_max > _MAX_MOMENT_N:
         raise _UsageError(
             f"--n-max {args.n_max} is above {_MAX_MOMENT_N}, the largest N whose "
-            f"moment quadrature stays within 1e-10 of the closed form"
+            f"moment quadrature stays within 1e-12 of the exact moment"
         )
     svals = _parse_s_grid(args.s_grid, sectors)
-    manifest = _manifest(
-        "functional-eq", n_min=args.n_min, n_max=args.n_max, s_grid=args.s_grid
-    )
 
     import numpy as np
 
@@ -415,7 +398,7 @@ def cmd_functional_eq(args: argparse.Namespace) -> _Table:
         worst_quad.append(float(quad.max()))
 
     header = ("N", "re_s", "im_s", "funceq_residual", "quad_residual")
-    return manifest, header, (svals.real, svals.imag), blocks, {
+    return header, (svals.real, svals.imag), blocks, {
         "max_funceq_residual": max(worst_fe, default=None),
         "max_quad_residual": max(worst_quad, default=None),
     }
@@ -442,13 +425,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     from .additive_oracle import Grid4D, brute_fourier, isotypic_grid_function, omega_grid_function
     from .gamma_op import IsotypicFunction, fourier_transform, to_additive
 
-    manifest = _manifest(
-        "oracle-check",
-        grid_m=args.grid_m,
-        grid_l=args.grid_l,
-        probes=args.probes,
-        seed=args.seed,
-    )
     pts = _seeded_probes(args.probes, args.seed)
     exact = np.exp(-2.0 * np.pi * np.sum(pts * pts, axis=1))
 
@@ -469,12 +445,12 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         per_sector[str(n)] = float(np.max(np.abs(got - want) / np.abs(want)))
 
     payload: Dict[str, object] = {
-        "manifest": manifest,
-        "duration_seconds": time.monotonic() - start,
+        "manifest": _manifest(args),
         "self_dual_error": self_dual_error(args.grid_m),
         "self_dual_error_m_halved": self_dual_error(max(3, (args.grid_m // 2) | 1)),
         "multiplier_vs_brute": per_sector,
     }
+    payload["duration_seconds"] = time.monotonic() - start
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         _write_json(args.out, payload)
@@ -506,15 +482,6 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
     except ValueError as exc:
         raise _UsageError(str(exc))
 
-    manifest = _manifest(
-        "trace-sweep",
-        n_min=args.n_min,
-        lambda_list=args.lambda_list,
-        profile_width=width,
-        profile_scale=scale,
-        tol=args.tol,
-    )
-
     results = residual_sweep(config)
     rows = []
     route_gap = 0.0
@@ -524,7 +491,7 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
         rows.append((float(r.lam), direct.real, r.trace.real, r.residual.real))
     lams, *values = np.array(rows, dtype=float).T
 
-    return manifest, ("lambda", "tr_direct", "tr_spectral", "residual"), (lams,), [(None, values)], {
+    return ("lambda", "tr_direct", "tr_spectral", "residual"), (lams,), [(None, values)], {
         "slope": results[-1].slope.real,
         "intercept": results[-1].intercept.real,
         "f_at_1": value_at_identity(f).real,
@@ -553,7 +520,7 @@ def cmd_g_constant(args: argparse.Namespace) -> int:
         _write_json(
             args.out,
             {
-                "manifest": _manifest("g-constant", tol=args.tol),
+                "manifest": _manifest(args),
                 "duration_seconds": time.monotonic() - start,
                 "epsilon_coefficient": c1,
                 "epsilon2_coefficient": c2,

@@ -84,10 +84,18 @@ def _check_cutoff(lam: float) -> None:
         raise ValueError(f"cutoff must be finite and exceed 1, got {lam}")
 
 
+def _check_tolerance(name: str, tol: float) -> None:
+    """Refuse a tolerance that is not a finite number of at least 0: a NaN
+    one would pass every refinement check."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and at least 0, got {tol}")
+
+
 @dataclass(frozen=True)
 class TraceConfig:
     """Sweep configuration: the profile, the cutoff list (finite, strictly
-    increasing, all above 1), and the refinement tolerance."""
+    increasing, all above 1), and the refinement tolerance (finite, at
+    least 0)."""
 
     f: IsotypicFunction
     lambdas: Tuple[float, ...] = DEFAULT_LAMBDAS
@@ -101,6 +109,7 @@ class TraceConfig:
             _check_cutoff(lam)
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambdas must be strictly increasing")
+        _check_tolerance("tolerance", self.tolerance)
         object.__setattr__(self, "lambdas", lams)
 
 
@@ -155,9 +164,11 @@ def trace_direct(
     where K_Gamma is the log-profile of Gamma(f).  Two refinements (16
     and 24 nodes per panel) must agree within tol, else the quadrature
     reports failure.  A v_min outside [-f.v_half_width, 2 log Lambda)
-    raises ValueError: an empty interval would pass that check with 0.
+    raises ValueError (an empty interval would pass that check with 0),
+    and so does a tol that is not finite and at least 0.
     """
     _check_cutoff(lam)
+    _check_tolerance("tol", tol)
     two_log = 2.0 * math.log(lam)
     if not -f.v_half_width <= v_min < two_log:
         raise ValueError(

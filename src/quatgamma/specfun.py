@@ -212,10 +212,13 @@ def gamma0_expansion(order: int, tol: float = 1e-7) -> List[float]:
     |eps| = 0.1 reads them off one FFT, with geometric convergence (Lyness
     and Moler 1967; Bornemann 2011).  The 32-point rule is returned, and
     NonConvergenceError raised where the 64-point rule (on twice its nodes)
-    differs by more than tol * max(1, |c|).  Only log_gamma is read.
+    differs by more than tol * max(1, |c|); a tol that is not finite and
+    at least 0 raises ValueError.  Only log_gamma is read.
     """
     if order not in (2, 3):
         raise ValueError("order must be 2 or 3")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least 0, got {tol}")
     r = 0.1
     eps = r * np.exp(2j * np.pi * np.arange(64) / 64)
     g = np.exp(4.0 * eps * LOG_2PI + log_gamma(2.0 - 2.0 * eps) - log_gamma(1.0 + 2.0 * eps))

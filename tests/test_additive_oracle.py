@@ -15,11 +15,12 @@ Closed-form anchors used here:
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from quatgamma import QuadratureError, _quadrature, additive_oracle
-from quatgamma._quadrature import gauss_panels, legendre_rule
+from quatgamma import QuadratureError, _quadrature, additive_oracle, specfun
+from quatgamma._quadrature import gauss_panels
 from quatgamma.additive_oracle import (
     G_CONSTANT,
     Grid4D,
@@ -506,7 +507,7 @@ def test_moment_closed_vs_quadrature(N):
     for s in (0.05 + 0.0j, 0.5 + 2.0j, 1.0 / 21.0 - 2.0j, 0.95 + 1.3j):
         closed = gaussian_moment(N, s)
         quad = gaussian_moment_quadrature(N, s)
-        assert abs(closed - quad) / abs(closed) < 1e-9
+        assert abs(closed - quad) / abs(closed) < 1e-12
 
 
 @pytest.mark.parametrize("N", [0, 2, 5])
@@ -541,49 +542,70 @@ def test_moment_functions_array_matches_scalar_loop(N):
 STRIP_GRID = (np.arange(1, 21) / 21.0)[:, None] + 1j * np.linspace(-2.0, 2.0, 20)[None, :]
 
 
-def _moment_quadrature_reference(N, s, nodes_per_panel=16):
-    """The un-factored radial sum: one complex exponential per node and
-    strip point, on the panels of gaussian_moment_quadrature."""
-    edges = np.linspace(-160.0, math.log(5.0), 163)
-    u, w = gauss_panels(edges, nodes_per_panel)
-    base = N * u - 2.0 * np.pi * np.exp(2.0 * u)
-    terms = np.exp(np.multiply.outer(4.0 * s, u) + base) * w
-    return 8.0 * np.pi**2 * np.sum(terms, axis=-1)
+# the Re(s) -> 0 corner, where the N = 0 moment has its pole
+NEAR_ZERO_GRID = np.array([0.001, 0.0099, 0.03])[:, None] + 1j * np.array([-2.0, 0.0, 2.0])[None, :]
+
+LIMIT = additive_oracle._MOMENT_QUADRATURE_MAX_N
+
+
+def _moment_mpmath(N, s):
+    """4 pi^2 (2 pi)^{-a} Gamma(a), a = 2s + N/2, at 40 digits."""
+    with mpmath.workdps(40):
+        out = []
+        for z in np.ravel(s):
+            a = 2 * mpmath.mpc(z.real, z.imag) + mpmath.mpf(N) / 2
+            out.append(complex(4 * mpmath.pi**2 * (2 * mpmath.pi) ** (-a) * mpmath.gamma(a)))
+    return np.reshape(out, np.shape(s))
+
+
+@pytest.mark.parametrize("N", list(range(13)) + [20, 40, 100, LIMIT])
+def test_moment_quadrature_vs_mpmath(N):
+    for grid in (STRIP_GRID, NEAR_ZERO_GRID):
+        want = _moment_mpmath(N, grid)
+        err = np.abs(gaussian_moment_quadrature(N, grid) - want) / np.abs(want)
+        assert np.max(err) <= 1e-12
+
+
+def _moment_quadrature_reference(N, s):
+    """The un-factored sum: the series below u = -1 term by term, and one
+    complex exponential per node and strip point on the panels above."""
+    b = 4.0 * np.asarray(s)[..., None] + N
+    k = np.arange(24)
+    factorial = np.array([math.factorial(j) for j in k], dtype=float)
+    terms = (-2.0 * np.pi) ** k / factorial * np.exp(-(b + 2.0 * k)) / (b + 2.0 * k)
+    u, w = gauss_panels(np.linspace(-1.0, math.log(8.0), 14), 16)
+    above = np.exp(b * u - 2.0 * np.pi * np.exp(2.0 * u)) * w
+    return 8.0 * np.pi**2 * (np.sum(terms, axis=-1) + np.sum(above, axis=-1))
 
 
 @pytest.mark.parametrize("N", range(7))
 def test_moment_quadrature_matches_unfactored_sum(N):
-    # the reference stops at u = -160 and sums the flat panels node by node;
-    # the two routes sit within 1.6e-11 of the closed form and differ by at
-    # most 2.0e-11 relative (N = 0), 7.8e-13 for N >= 1
+    # the split e^{4s m_p} e^{4s h x_j} and the blocked sums move the
+    # result by rounding only: at most 6.2e-14 relative
     got = gaussian_moment_quadrature(N, STRIP_GRID)
     want = _moment_quadrature_reference(N, STRIP_GRID)
-    assert np.max(np.abs(got - want) / np.abs(want)) < 5e-11
+    assert np.max(np.abs(got - want) / np.abs(want)) < 2e-13
 
 
-def test_moment_quadrature_tail_panels_are_flat():
-    """Every node below the cut has e^{-2 pi e^{2u}} == 1.0, so the flat
-    tail's geometric sum is the panel sum itself; the first panel kept
-    has a node where it is not, and the kept panels are the linspace's."""
-    edges = np.linspace(-160.0, math.log(5.0), 163)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x, _ = legendre_rule(16)
-    u = mid[None, :] + 0.5 * (edges[1] - edges[0]) * x[:, None]
-    factor = np.exp(-2.0 * np.pi * np.exp(2.0 * u))
-    head = additive_oracle._moment_panels(0)[0]
-    cut = mid.size - head.size
-    assert np.array_equal(head, mid[cut:])
-    assert np.all(factor[:, :cut] == 1.0)
-    assert np.any(factor[:, cut] != 1.0)
+def test_moment_quadrature_reads_no_log_gamma(monkeypatch):
+    # the quadrature checks the closed form, so it must not share its Gamma
+    want = gaussian_moment_quadrature(3, STRIP_GRID)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gaussian_moment_quadrature read log_gamma")
+
+    monkeypatch.setattr(specfun, "log_gamma", refuse)
+    monkeypatch.setattr(additive_oracle, "log_gamma", refuse)
+    assert np.array_equal(gaussian_moment_quadrature(3, STRIP_GRID), want)
 
 
 def test_moment_quadrature_near_re_s_zero():
-    # the flat tail is summed down to u -> -inf, so the N = 0 moment, whose
-    # integrand decays like e^{4 Re(s) u}, stays resolved as Re(s) -> 0
+    # the series' first term e^{-b}/b carries the N = 0 moment's pole at
+    # s = 0, so it stays resolved as Re(s) -> 0
     s = np.array([0.001, 0.01, 0.03])[:, None] + 1j * np.array([-2.0, 0.0, 2.0])[None, :]
     closed = gaussian_moment(0, s)
     err = np.abs(gaussian_moment_quadrature(0, s) - closed) / np.abs(closed)
-    assert np.max(err) < 1e-10
+    assert np.max(err) < 1e-12
 
 
 @pytest.mark.parametrize("N", [0, 3, 6])
@@ -596,13 +618,11 @@ def test_moment_quadrature_block_size_invariant(N, monkeypatch):
 
 
 def test_moment_quadrature_refuses_unresolved_sectors():
-    limit = additive_oracle._MOMENT_QUADRATURE_MAX_N
-    closed = gaussian_moment(limit, STRIP_GRID)
-    err = np.abs(gaussian_moment_quadrature(limit, STRIP_GRID) - closed) / np.abs(closed)
-    assert np.max(err) < 1e-10
-    for N in (limit + 1, 30):
-        with pytest.raises(ValueError, match=f"N <= {limit}"):
-            gaussian_moment_quadrature(N, 0.5)
+    closed = gaussian_moment(LIMIT, STRIP_GRID)
+    err = np.abs(gaussian_moment_quadrature(LIMIT, STRIP_GRID) - closed) / np.abs(closed)
+    assert np.max(err) < 1e-11
+    with pytest.raises(ValueError, match=f"N <= {LIMIT}"):
+        gaussian_moment_quadrature(LIMIT + 1, 0.5)
 
 
 def test_moment_functions_scalar_and_empty():

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -239,10 +240,10 @@ def test_functional_eq_residuals(tmp_path):
     assert float(rows[0][3]) <= 1e-12
     for row in rows:
         assert float(row[3]) <= 1e-10
-        assert float(row[4]) <= 1e-9
+        assert float(row[4]) <= 1e-12
     summary = read_summary(out)
     assert summary["max_funceq_residual"] <= 1e-10
-    assert summary["max_quad_residual"] <= 1e-9
+    assert summary["max_quad_residual"] <= 1e-12
 
 
 def test_functional_eq_rerun_bit_identical(tmp_path):
@@ -256,27 +257,27 @@ def test_functional_eq_rerun_bit_identical(tmp_path):
     assert len(rows) == 3 * 140
     for row in rows:
         assert float(row[3]) <= 1e-10
-        assert float(row[4]) <= 1e-9
+        assert float(row[4]) <= 1e-12
 
 
 def test_functional_eq_near_re_s_zero(tmp_path):
     # abscissae down to Re(s) = 1/101 at Im(s) in {-2, 0, 2}
     out = tmp_path / "fe.csv"
     assert main(["functional-eq", "--n-max", "0", "--s-grid", "100x3", "--out", str(out)]) == 0
-    assert read_summary(out)["max_quad_residual"] <= 1e-10
+    assert read_summary(out)["max_quad_residual"] <= 1e-12
 
 
 def test_functional_eq_refuses_unresolved_sectors(tmp_path):
-    # N = 30 would report the quadrature's own 1.4e-8 error as a residual;
     # the limit is the quadrature's and is refused before numpy is imported
     from quatgamma import additive_oracle
 
-    assert cli._MAX_MOMENT_N == additive_oracle._MOMENT_QUADRATURE_MAX_N
+    limit = cli._MAX_MOMENT_N
+    assert limit == additive_oracle._MOMENT_QUADRATURE_MAX_N
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = (
         "import sys\n"
         "from quatgamma.cli import main\n"
-        "print(main(['functional-eq', '--n-max', '30', '--out', 'never.csv']), 'numpy' in sys.modules)\n"
+        f"print(main(['functional-eq', '--n-max', '{limit + 1}', '--out', 'never.csv']), 'numpy' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -286,11 +287,13 @@ def test_functional_eq_refuses_unresolved_sectors(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.stdout.split() == ["2", "False"], proc.stderr
-    assert f"above {cli._MAX_MOMENT_N}" in proc.stderr
+    assert f"above {limit}" in proc.stderr
     assert list(tmp_path.iterdir()) == []
     out = tmp_path / "fe.csv"
-    assert main(["functional-eq", "--n-min", "11", "--n-max", "11", "--s-grid", "1x1", "--out", str(out)]) == 0
-    assert float(read_table(out)[2][0][4]) <= 1e-10
+    top = str(limit)
+    assert main(["functional-eq", "--n-min", top, "--n-max", top, "--s-grid", "1x1", "--out", str(out)]) == 0
+    # 3.1e-13 against the closed form, whose own error is part of it
+    assert float(read_table(out)[2][0][4]) <= 1e-11
 
 
 def test_functional_eq_empty_grid(tmp_path):
@@ -335,6 +338,26 @@ def test_oracle_check_deterministic(tmp_path, capsys):
     da.pop("duration_seconds")
     db.pop("duration_seconds")
     assert da == db
+
+
+def test_oracle_check_times_every_figure(tmp_path, monkeypatch, capsys):
+    # each self-dual transform takes one tick of a fake clock; the duration
+    # used to be read before either of them ran
+    from quatgamma import additive_oracle
+
+    ticks = [0.0]
+    sample = additive_oracle.omega_grid_function
+
+    def slow_sample(grid):
+        ticks[0] += 1.0
+        return sample(grid)
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: ticks[0]))
+    monkeypatch.setattr(additive_oracle, "omega_grid_function", slow_sample)
+    out = tmp_path / "oc.json"
+    assert main(["oracle-check", "--grid-m", "9", "--probes", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text(encoding="utf-8"))["duration_seconds"] == 2.0
 
 
 def test_oracle_check_validation(tmp_path):
@@ -485,6 +508,29 @@ def test_parser_is_built_once():
 
 
 # ------------------------------------------------------------------- plumbing
+
+
+# each README invocation and the manifest its outputs carry
+README_MANIFESTS = [
+    ("gamma-table --n-min 0 --n-max 4 --tau-min -10 --tau-max 10 --tau-step 0.01 --out gamma.csv",
+     {"n_max": 4, "n_min": 0, "tau_max": 10.0, "tau_min": -10.0, "tau_step": 0.01}),
+    ("gamma-table --n-max 4 --s-grid 20x20 --out strip.csv", {"n_max": 4, "n_min": 0, "s_grid": "20x20"}),
+    ("spectral-scan --n-max 20 --tau-min -100 --tau-max 100 --tau-step 0.1 --out scan.csv",
+     {"n_max": 20, "n_min": 0, "tau_max": 100.0, "tau_min": -100.0, "tau_step": 0.1}),
+    ("functional-eq --n-max 6 --s-grid 20x20 --out residuals.csv", {"n_max": 6, "n_min": 0, "s_grid": "20x20"}),
+    ("oracle-check --grid-m 33 --grid-l 2.0 --probes 6 --seed 7 --out oracle.json",
+     {"grid_l": 2.0, "grid_m": 33, "probes": 6, "seed": 7}),
+    ("trace-sweep --n-min 0 --lambda-list 2,4,8,16,32,64 --out trace.csv",
+     {"lambda_list": "2,4,8,16,32,64", "n_min": 0, "profile_scale": 1.0, "profile_width": 1.0, "tol": 1e-08}),
+    ("g-constant", {"tol": 1e-07}),
+]
+
+
+@pytest.mark.parametrize("argv, flags", README_MANIFESTS, ids=[a.split()[0] + str(i) for i, (a, _) in enumerate(README_MANIFESTS)])
+def test_manifest_is_read_off_the_arguments(argv, flags):
+    args = cli.build_parser().parse_args(argv.split())
+    want = {"command": argv.split()[0], "version": cli.__version__, **flags}
+    assert cli._manifest(args) == want
 
 
 @pytest.mark.parametrize("value", ["0", "abc", "-3", "1.5", "cpus+1"])

@@ -496,6 +496,19 @@ def test_spectral_refinement_check_is_live(standard, monkeypatch):
         residual_sweep(TraceConfig(f=standard, lambdas=(2.0, 4.0), tolerance=0.0))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+def test_direct_refuses_a_tolerance_that_checks_nothing(standard, tol):
+    # gap > nan is always False: a NaN or infinite tol returned 7.3355 unchecked
+    with pytest.raises(ValueError, match="^tol must be finite and at least 0"):
+        trace_direct(standard, 2.0, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+def test_sweep_refuses_a_tolerance_that_checks_nothing(standard, tol):
+    with pytest.raises(ValueError, match="^tolerance must be finite and at least 0"):
+        residual_sweep(TraceConfig(f=standard, lambdas=(2.0,), tolerance=tol))
+
+
 @pytest.mark.parametrize("log_lam", [32.5, 40.0])
 def test_spectral_refuses_kink_outside_window(standard, log_lam):
     # the kink -2 log Lambda must lie inside the log window [-64, 64];

@@ -66,7 +66,7 @@ KERNELS = [
     ("h_multiplier", h_multiplier, 40, "line", float),
     ("k_multiplier", k_multiplier, 40, "line", float),
     ("gaussian_moment", gaussian_moment, 40, "strip", complex),
-    ("gaussian_moment_quadrature", gaussian_moment_quadrature, 11, "strip", complex),
+    ("gaussian_moment_quadrature", gaussian_moment_quadrature, 40, "strip", complex),
     ("functional_equation_residual", functional_equation_residual, 40, "strip", float),
     ("character", character, 40, "angle", float),
     ("angular_bessel", angular_bessel, 40, "radius", complex),

@@ -322,6 +322,13 @@ def test_gamma0_expansion_guards():
         gamma0_expansion(3, tol=1e-17)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-7])
+def test_gamma0_expansion_refuses_a_tolerance_that_checks_nothing(tol):
+    # gap > nan is always False: a NaN tol returned the coefficients unchecked
+    with pytest.raises(ValueError, match="^tol must be finite and at least 0"):
+        gamma0_expansion(2, tol=tol)
+
+
 def test_gamma0_expansion_reads_no_polygamma(monkeypatch):
     # c2 checks the closed form -h_0(0) - 2, so the route must not share
     # the digamma path behind h_multiplier (nor trigamma, nor gamma_factor)
