@@ -1,4 +1,4 @@
-"""Gauss-Legendre panel rules shared across the package."""
+"""Gauss-Legendre panel rules and the refinement estimate shared across the package."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["legendre_rule", "gauss_panels"]
+__all__ = ["legendre_rule", "gauss_panels", "refinement_gap"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,3 +30,10 @@ def gauss_panels(edges: np.ndarray, nodes_per_panel: int) -> Tuple[np.ndarray, n
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def refinement_gap(value, other) -> float:
+    """max |value - other| / max(1, |value|) elementwise, value the result
+    kept: absolute below 1, relative above; NaN in either gives NaN."""
+    value = np.asarray(value)
+    return float(np.max(np.abs(value - other) / np.maximum(1.0, np.abs(value)), initial=0.0))

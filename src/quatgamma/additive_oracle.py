@@ -25,8 +25,8 @@ from typing import Callable, List
 
 import numpy as np
 
-from ._errors import QuadratureError
-from ._quadrature import gauss_panels, legendre_rule
+from ._errors import DecayError, QuadratureError, check
+from ._quadrature import gauss_panels, legendre_rule, refinement_gap
 from .gamma_op import SQRT_2PI2, IsotypicFunction, op_H, to_additive
 from .quat_core import _Points, _as_points
 from .specfun import (
@@ -81,7 +81,7 @@ _RADIAL_R_MAX = 64.0
 _ANGULAR_NODES = 64
 
 # radial_fourier doubles its panels, from 8 (128 nodes), at most this often
-# (to 32,768 nodes) until two refinements agree within _RADIAL_TOL
+# (to 32,768 nodes) until the refinement estimate is within _RADIAL_TOL
 _RADIAL_MAX_DOUBLINGS = 8
 _RADIAL_TOL = 1e-10
 
@@ -136,11 +136,7 @@ class GridFunction:
             raise ValueError("orbit must have shape (M, M, M)")
         if not 0 <= self.orbit.min() <= self.orbit.max() < self.table.shape[1]:
             raise ValueError("orbit entries must index the table's columns")
-        if self.boundary_magnitude() > DECAY_SURROGATE_BOUND:
-            raise ValueError(
-                f"boundary magnitude {self.boundary_magnitude():.3e} exceeds "
-                f"the decay surrogate {DECAY_SURROGATE_BOUND}"
-            )
+        check(DecayError, "4D decay surrogate", self.boundary_magnitude(), DECAY_SURROGATE_BOUND)
 
     def boundary_magnitude(self) -> float:
         """Largest modulus on the faces of the M^4 box: rows x0 = +-L at
@@ -151,7 +147,7 @@ class GridFunction:
         used[self.orbit.ravel()] = True
         face[np.stack([np.take(self.orbit, e, axis=a) for a in range(3) for e in (0, -1)])] = True
         rows = np.abs(self.table[[0, -1]][:, used]).max()
-        return float(max(rows, np.abs(self.table[:, face]).max()))
+        return float(np.maximum(rows, np.abs(self.table[:, face]).max()))
 
     @classmethod
     def from_function(
@@ -267,9 +263,9 @@ def radial_fourier(
     because the probe kernel e^{+4 pi i Re(xy)} carries the opposite phase
     sign from the class-measure Bessel integral.  It runs on equal panels
     of the cached 16-node Gauss-Legendre rule, doubling from 8 panels until
-    two refinements agree within 1e-10 of max(1, largest value), at most 8
-    times, else QuadratureError.  An r_max that is not finite and positive
-    raises ValueError.
+    the refinement estimate is within 1e-10, at most 8 times, else (or at
+    once on a NaN estimate) QuadratureError.  An r_max that is not finite
+    and positive raises ValueError.
     """
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"r_max must be finite and positive, got {r_max}")
@@ -289,15 +285,14 @@ def radial_fourier(
         )
         vals = prefactor * ((wr * q * r**3) @ bess)
         if prev is not None:
-            scale = float(np.abs(vals).max(initial=1.0))
-            gap = float(np.abs(vals - prev).max(initial=0.0))
-            if gap <= _RADIAL_TOL * scale:
-                return vals
+            gap = refinement_gap(vals, prev)
+            # refine again only on a gap above the tolerance: a NaN stops here
+            if not gap > _RADIAL_TOL:
+                break
         prev = vals
-    raise QuadratureError(
-        f"radial_fourier: refinements at {len(r) // 2} and {len(r)} nodes differ by "
-        f"{gap:.3e} (tol {_RADIAL_TOL:g} relative to {scale:.3e})"
-    )
+    stage = f"radial_fourier: refinements at {len(r) // 2} and {len(r)} nodes"
+    check(QuadratureError, stage, gap, _RADIAL_TOL)
+    return vals
 
 
 # ----------------------------------------------- regularized distributions

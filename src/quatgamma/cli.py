@@ -59,6 +59,11 @@ _MAX_TABLE_ROWS = 1_000_000
 _MAX_ORACLE_GRID_M = 209
 _ORACLE_BYTES_PER_CUBE = 70
 
+# largest oracle-check work, probes x (M^3 + 2000): a probe's transform took 12 ns
+# per offset plus 22 us (one thread, 2-vCPU Xeon); 6 probes at the largest box
+_ORACLE_PROBE_OVERHEAD = 2000
+_MAX_ORACLE_PROBE_WORK = 6 * (_MAX_ORACLE_GRID_M**3 + _ORACLE_PROBE_OVERHEAD)
+
 # largest trace_direct run, in bytes of its fine-pass node arrays (see
 # _trace_direct_bytes); peak RSS of a warmed-up process grew by 96 to 98
 # bytes per node at cutoffs 1e8 to 1.6e9, mostly profile_value temporaries
@@ -419,6 +424,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             f"({args.grid_m}^3 = {cube:.3g} at {_ORACLE_BYTES_PER_CUBE} bytes each); the limit is "
             f"--grid-m {_MAX_ORACLE_GRID_M}"
         )
+    work = args.probes * (args.grid_m**3 + _ORACLE_PROBE_OVERHEAD)
+    if work > _MAX_ORACLE_PROBE_WORK:
+        raise _UsageError(
+            f"--probes {args.probes} at --grid-m {args.grid_m} needs {work:.3g} units of work "
+            f"({args.probes} x ({args.grid_m}^3 + {_ORACLE_PROBE_OVERHEAD})); the limit is "
+            f"{_MAX_ORACLE_PROBE_WORK:.3g}, 6 probes at --grid-m {_MAX_ORACLE_GRID_M}"
+        )
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be at least 0, got {args.seed}")
 
     import numpy as np
 
@@ -508,26 +522,19 @@ def cmd_g_constant(args: argparse.Namespace) -> int:
     from .specfun import G_CONSTANT, gamma0_expansion
 
     c1, c2 = gamma0_expansion(order=2, tol=args.tol)
-    lines = [
-        ("epsilon coefficient", c1),
-        ("epsilon^2 coefficient", c2),
-        ("closed form", G_CONSTANT),
-        ("difference", abs(c2 - G_CONSTANT)),
+    # (printed label, report key, value)
+    figures = [
+        ("epsilon coefficient", "epsilon_coefficient", c1),
+        ("epsilon^2 coefficient", "epsilon2_coefficient", c2),
+        ("closed form", "closed_form", G_CONSTANT),
+        ("difference", "difference", abs(c2 - G_CONSTANT)),
     ]
-    for label, value in lines:
+    for label, _, value in figures:
         print(f"{label:<22} {format(value, '.17g')}")
     if args.out:
-        _write_json(
-            args.out,
-            {
-                "manifest": _manifest(args),
-                "duration_seconds": time.monotonic() - start,
-                "epsilon_coefficient": c1,
-                "epsilon2_coefficient": c2,
-                "closed_form": G_CONSTANT,
-                "difference": abs(c2 - G_CONSTANT),
-            },
-        )
+        report = {key: value for _, key, value in figures}
+        duration = time.monotonic() - start
+        _write_json(args.out, {"manifest": _manifest(args), "duration_seconds": duration, **report})
     return 0
 
 

@@ -42,21 +42,14 @@ list; reruns are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._errors import QuadratureError
-from ._quadrature import gauss_panels
-from .gamma_op import (
-    IsotypicFunction,
-    gamma_inverse,
-    gamma_transform,
-    inversion,
-    op_H,
-    value_at_identity,
-)
+from ._errors import QuadratureError, check, check_tolerance
+from ._quadrature import gauss_panels, refinement_gap
+from .gamma_op import IsotypicFunction, gamma_transform, op_H, value_at_identity
 from .specfun import gamma_multiplier
 from .spectral_line import Profile, profile_value
 from .su2_angular import angular_bessel
@@ -84,13 +77,6 @@ def _check_cutoff(lam: float) -> None:
         raise ValueError(f"cutoff must be finite and exceed 1, got {lam}")
 
 
-def _check_tolerance(name: str, tol: float) -> None:
-    """Refuse a tolerance that is not a finite number of at least 0: a NaN
-    one would pass every refinement check."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"{name} must be finite and at least 0, got {tol}")
-
-
 @dataclass(frozen=True)
 class TraceConfig:
     """Sweep configuration: the profile, the cutoff list (finite, strictly
@@ -109,7 +95,7 @@ class TraceConfig:
             _check_cutoff(lam)
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambdas must be strictly increasing")
-        _check_tolerance("tolerance", self.tolerance)
+        check_tolerance("tolerance", self.tolerance)
         object.__setattr__(self, "lambdas", lams)
 
 
@@ -168,7 +154,7 @@ def trace_direct(
     and so does a tol that is not finite and at least 0.
     """
     _check_cutoff(lam)
-    _check_tolerance("tol", tol)
+    check_tolerance("tol", tol)
     two_log = 2.0 * math.log(lam)
     if not -f.v_half_width <= v_min < two_log:
         raise ValueError(
@@ -178,11 +164,8 @@ def trace_direct(
     n = _DIRECT_PANEL_NODES
     coarse = _direct_quadrature(gamma_f, two_log, n, v_min)
     fine = _direct_quadrature(gamma_f, two_log, n + n // 2, v_min)
-    if abs(coarse - fine) > tol * max(1.0, abs(fine)):
-        raise QuadratureError(
-            f"trace_direct: refinements at {n} and {n + n // 2} nodes per panel disagree by "
-            f"{abs(coarse - fine):.3e} (tol {tol:g}) at cutoff {lam}"
-        )
+    stage = f"trace_direct at cutoff {lam}: refinements at {n} and {n + n // 2} nodes per panel"
+    check(QuadratureError, stage, refinement_gap(fine, coarse), tol)
     return fine
 
 
@@ -224,20 +207,18 @@ def _spectral_sweep(f: IsotypicFunction, lambdas: Sequence[float], tol: float) -
         two_logs.append(two_log)
     L = np.array(two_logs)
     kinks = -L
-    psi = gamma_inverse(inversion(f)).spectral_profile
-    gamma_prof = Profile(psi.spacing, psi.half_width, gamma_multiplier(f.N, psi.grid))
+    # Gamma^{-1} I f and the multiplier itself, from one read of gamma_N
+    gamma = gamma_multiplier(f.N, f.spectral_profile.grid)
+    psi = replace(f.spectral_profile, samples=np.conjugate(gamma) * f.spectral_profile.samples[::-1])
+    gamma_prof = replace(f.spectral_profile, samples=gamma)
     rows = []
     for width in (1.0, 0.5):
         c0, c1 = _kink_moments(psi, gamma_prof, f.N, kinks, v_half, width).T
         rows.append(np.stack([L * c0 + c1, c0, c1], axis=1))
     coarse, fine = rows
-    gaps = np.abs(fine - coarse)
-    for lam, gap, bound in zip(lambdas, gaps, tol * np.maximum(1.0, np.abs(fine))):
-        if np.any(gap > bound):
-            raise QuadratureError(
-                f"trace_spectral: above-kink panel widths 1.0 and 0.5 disagree by "
-                f"{gap.max():.3e} (tol {tol:g}) at cutoff {lam}"
-            )
+    for lam, c, row in zip(lambdas, coarse, fine):
+        stage = f"trace_spectral at cutoff {lam}: above-kink panel widths 1.0 and 0.5"
+        check(QuadratureError, stage, refinement_gap(row, c), tol)
     return fine
 
 

@@ -101,7 +101,7 @@ _Points = Union[Quaternion, Sequence[float], Sequence[Union[Quaternion, Sequence
 
 def _as_points(points: _Points) -> np.ndarray:
     """(n, 4) float coordinates of a Quaternion, one row, or a sequence or
-    array of either; [] gives (0, 4)."""
+    array of either; [] gives (0, 4), and a non-finite coordinate raises."""
     if isinstance(points, Quaternion):
         points = points.coords
     elif not isinstance(points, np.ndarray):
@@ -111,4 +111,6 @@ def _as_points(points: _Points) -> np.ndarray:
         pts = pts.reshape(-1, 4)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError(f"points must be quaternions or rows of 4 coordinates, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     return pts

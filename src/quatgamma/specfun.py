@@ -20,8 +20,8 @@ real multipliers
 Every pointwise kernel of the package, here and in su2_angular and
 additive_oracle, takes its point argument through _pointwise: a Python
 scalar (or 0-d array) gives a Python complex or float, any other array
-or sequence an array of its shape, and a mode N < 0 or a point outside
-the kernel's domain raises ValueError.
+or sequence an array of its shape, and a mode N < 0, a point that is not
+finite or a point outside the kernel's domain raises ValueError.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 from scipy.special import loggamma, psi
 
-from ._errors import NonConvergenceError
+from ._errors import NonConvergenceError, check, check_tolerance
+from ._quadrature import refinement_gap
 
 __all__ = [
     "LOG_2PI",
@@ -67,9 +68,9 @@ _STRIP = (lambda s: (s.real <= 0.0) | (s.real >= 1.0), "s must lie in the open s
 
 def _pointwise(dtype: type, domain: Optional[Tuple[Callable, str]] = None):
     """The argument convention of the kernels fn(x) and fn(N, x), called
-    positionally: N < 0 raises, x is read as a dtype array and checked
-    against domain, and fn runs on it at least 1-D.  A scalar or 0-d x
-    gives a Python scalar, any other x an array of its own shape."""
+    positionally: N < 0 raises, x is read as a finite dtype array and
+    checked against domain, and fn runs on it at least 1-D.  A scalar or
+    0-d x gives a Python scalar, any other x an array of its own shape."""
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -78,6 +79,8 @@ def _pointwise(dtype: type, domain: Optional[Tuple[Callable, str]] = None):
             if mode and mode[0] < 0:
                 raise ValueError("angular mode N must be >= 0")
             arr = np.asarray(x, dtype=dtype)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{fn.__name__} needs finite points")
             if domain is not None and np.any(domain[0](arr)):
                 raise ValueError(domain[1].format(name=fn.__name__))
             out = np.reshape(fn(*mode, np.atleast_1d(arr)), arr.shape)
@@ -211,23 +214,19 @@ def gamma0_expansion(order: int, tol: float = 1e-7) -> List[float]:
     analytic in the unit disc.  The trapezoid rule for Cauchy's integral on
     |eps| = 0.1 reads them off one FFT, with geometric convergence (Lyness
     and Moler 1967; Bornemann 2011).  The 32-point rule is returned, and
-    NonConvergenceError raised where the 64-point rule (on twice its nodes)
-    differs by more than tol * max(1, |c|); a tol that is not finite and
-    at least 0 raises ValueError.  Only log_gamma is read.
+    NonConvergenceError raised where its refinement estimate against the
+    64-point rule (on twice its nodes) is not within tol; a tol that is
+    not finite and at least 0 raises ValueError.  Only log_gamma is read.
     """
     if order not in (2, 3):
         raise ValueError("order must be 2 or 3")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and at least 0, got {tol}")
+    check_tolerance("tol", tol)
     r = 0.1
     eps = r * np.exp(2j * np.pi * np.arange(64) / 64)
     g = np.exp(4.0 * eps * LOG_2PI + log_gamma(2.0 - 2.0 * eps) - log_gamma(1.0 + 2.0 * eps))
     scale = r ** np.arange(order)
     coarse, fine = (np.fft.fft(w)[:order].real / (len(w) * scale) for w in (g[::2], g))
-    for k, (c, gap) in enumerate(zip(coarse, np.abs(coarse - fine)), start=1):
-        if gap > tol * max(1.0, abs(c)):
-            raise NonConvergenceError(
-                f"gamma0_expansion: coefficient c{k} gap {gap:.3e} between the 32- and "
-                f"64-point circle rules > tolerance {tol * max(1.0, abs(c)):.3e}"
-            )
+    for k, (c, other) in enumerate(zip(coarse, fine), start=1):
+        stage = f"gamma0_expansion: coefficient c{k}, 32- against 64-point circle rule"
+        check(NonConvergenceError, stage, refinement_gap(c, other), tol)
     return [float(c) for c in coarse]

@@ -14,12 +14,11 @@ Every transform takes its target grid; this module sets no grid policy
 spacing_v * half_width_tau <= pi  and  spacing_tau * half_width_v <= pi
 (the discrete sum is periodic with period 2 pi / spacing, so beyond these
 the windows alias).  Profiles are expected to have decayed at their grid
-ends; transforms check this against a fixed guard: an edge sample above
-1e-8 of max(1, peak) raises DecayError.  The guard is 1e-8 rather than
-the 1e-12 the canonical test profiles satisfy: exact operator outputs
-carry e^{-|v|/2} tails (the Gamma-factor pole sits half a unit off the
-line), and legitimate wide-grid intermediates bottom out near 1e-12
-without ever crossing below it.
+ends; transforms check this against a fixed guard: an edge sample (or
+any NaN sample) above 1e-8 of max(1, peak) raises DecayError.  It is
+1e-8, not the 1e-12 the canonical test profiles meet, because exact
+operator outputs carry e^{-|v|/2} tails (the Gamma-factor pole sits half
+a unit off the line) that bottom out near 1e-12 on wide grids.
 
 Both transforms run through one resampler, _resample, and differ only in
 the sign of i and the scale (spacing_v, or spacing_tau / 2 pi).  Its sum
@@ -49,7 +48,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from ._errors import AliasingError, DecayError
+from ._errors import AliasingError, DecayError, check
 
 __all__ = [
     "Profile",
@@ -110,26 +109,16 @@ class Profile:
 
 
 def _check_decay(samples: np.ndarray, what: str) -> None:
-    peak = float(np.max(np.abs(samples))) if len(samples) else 0.0
-    edge = float(max(abs(samples[0]), abs(samples[-1])))
-    if edge > _DECAY_GUARD * max(1.0, peak):
-        raise DecayError(
-            f"{what} has not decayed at its grid ends "
-            f"(edge {edge:.3e}, peak {peak:.3e}); widen the window"
-        )
+    # np.max and np.maximum keep a NaN sample's NaN in the tolerance
+    tol = _DECAY_GUARD * np.maximum(1.0, np.max(np.abs(samples)))
+    edge = max(abs(samples[0]), abs(samples[-1]))
+    check(DecayError, f"{what} decay at its grid ends (widen the window)", edge, tol)
 
 
 def _check_reciprocity(dv: float, v_half: float, dtau: float, tau_half: float) -> None:
-    if dv * tau_half > np.pi * (1.0 + 1e-12):
-        raise AliasingError(
-            f"v-spacing {dv} too coarse for tau half-width {tau_half} "
-            f"(need spacing*half_width <= pi)"
-        )
-    if dtau * v_half > np.pi * (1.0 + 1e-12):
-        raise AliasingError(
-            f"tau-spacing {dtau} too coarse for v half-width {v_half} "
-            f"(need spacing*half_width <= pi)"
-        )
+    bound = np.pi * (1.0 + 1e-12)
+    check(AliasingError, f"v-spacing {dv} times tau half-width {tau_half} (at most pi)", dv * tau_half, bound)
+    check(AliasingError, f"tau-spacing {dtau} times v half-width {v_half} (at most pi)", dtau * v_half, bound)
 
 
 # -------------------------------------------------------------- transforms

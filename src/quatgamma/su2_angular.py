@@ -25,7 +25,8 @@ formula for Fourier transforms of radial times harmonic functions on R^4
 
 ``character`` and ``angular_bessel`` follow specfun's convention: a scalar
 angle or radius gives a Python float or complex, an array or sequence an
-array of its shape, and N < 0 raises ValueError.
+array of its shape, and N < 0 or a point that is not finite raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ def _chebyshev_u(N: int, c: ArrayLike) -> ArrayLike:
     return u
 
 
+@_pointwise(float)
 def character(N: int, theta: ArrayLike) -> ArrayLike:
     """Character of the (N+1)-dimensional irreducible representation at
     class angle theta, chi_N(theta) = U_N(cos(theta))."""
-    return _chebyshev_u(N, np.cos(np.asarray(theta, dtype=float)))
+    return _chebyshev_u(N, np.cos(theta))
 
 
 # ------------------------------------------------------------ class quadrature

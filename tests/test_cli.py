@@ -374,6 +374,43 @@ def test_oracle_check_refuses_oversized_grid(capsys):
     assert main(["oracle-check", "--grid-m", "1001"]) == 2
 
 
+def test_oracle_check_decay_failure_exits_1(capsys):
+    # the box [-0.5, 0.5]^4 cuts the profiles where they are still large,
+    # so the 4D decay surrogate fails: a numerical failure, not a traceback
+    assert main(["oracle-check", "--grid-m", "5", "--grid-l", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: 4D decay surrogate: estimate ")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["--probes", "10000000"], "--probes 10000000 at --grid-m 33 needs 3.79e+11 units of work"),
+        (["--grid-m", "3", "--probes", "27100"], "(27100 x (3^3 + 2000))"),
+        (["--grid-m", "209", "--probes", "7"], "the limit is 5.48e+07, 6 probes at --grid-m 209"),
+    ],
+    ids=["negative-seed", "many-probes", "small-box-probes", "one-probe-over"],
+)
+def test_oracle_check_refusals_before_numpy(flags, message, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys\n"
+        "from quatgamma.cli import main\n"
+        f"print(main(['oracle-check', *{flags!r}, '--out', 'never.json']), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.split() == ["2", "False"], proc.stderr
+    assert message in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_check_accepts_grid_above_old_limit(capsys):
     # 69 was refused while the command built M^4 arrays
     assert main(["oracle-check", "--grid-m", "69", "--probes", "2", "--seed", "3"]) == 0
@@ -428,7 +465,7 @@ def test_trace_sweep_numerical_failure_exits_1(tmp_path, capsys):
     # tol = 1e-300, so the self-check trips and nothing is written
     out = tmp_path / "t.csv"
     assert main(["trace-sweep", "--lambda-list", "2,4", "--tol", "1e-300", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("numerical failure: trace_spectral: ")
+    assert capsys.readouterr().err.startswith("numerical failure: trace_spectral at cutoff 2.0: ")
     assert list(tmp_path.iterdir()) == []
 
 

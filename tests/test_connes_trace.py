@@ -467,7 +467,9 @@ def test_direct_refinement_failure_is_reported(standard, monkeypatch):
     # two nodes per panel cannot resolve a full oscillation period; the
     # coarse/fine disagreement is 5e-3 at this cutoff
     monkeypatch.setattr(connes_trace, "_DIRECT_PANEL_NODES", 2)
-    with pytest.raises(QuadratureError, match=r"trace_direct: refinements at 2 and 3 .*\(tol 1e-08\)"):
+    match = (r"^trace_direct at cutoff 8\.0: refinements at 2 and 3 nodes per panel: "
+             r"estimate \S+ not within tolerance 1\.000e-08$")
+    with pytest.raises(QuadratureError, match=match):
         trace_direct(standard, 8.0)
 
 
@@ -490,9 +492,9 @@ def test_spectral_refinement_check_is_live(standard, monkeypatch):
     # in the trace, so a zero tolerance must trip the guard, which names
     # the cutoff, the first of a sweep's list that fails
     monkeypatch.setattr(connes_trace, "_TOLERANCE", 0.0)
-    with pytest.raises(QuadratureError, match=r"trace_spectral: .*\(tol 0\) at cutoff 4\.0$"):
+    with pytest.raises(QuadratureError, match=r"^trace_spectral at cutoff 4\.0: .* tolerance 0\.000e\+00$"):
         trace_spectral(standard, 4.0)
-    with pytest.raises(QuadratureError, match=r"\(tol 0\) at cutoff 2\.0$"):
+    with pytest.raises(QuadratureError, match=r"^trace_spectral at cutoff 2\.0: "):
         residual_sweep(TraceConfig(f=standard, lambdas=(2.0, 4.0), tolerance=0.0))
 
 

@@ -2,13 +2,17 @@
 
 Pointwise kernels, fn(x) or fn(N, x): a scalar or 0-d x gives a Python
 complex or float, a list or array gives an array of x's shape (empty
-shapes included), N < 0 raises one message, and an array call is
-elementwise the scalar calls, bit for bit.
+shapes included), N < 0 raises one message, a point that is not finite
+raises one message naming the kernel, and an array call is elementwise
+the scalar calls, bit for bit.
 
 4D points: evaluate_points, brute_fourier and radial_fourier take a
 Quaternion, one row of four, a list of rows or of Quaternions, an (n, 4)
-array or [], and raise ValueError on rows of any other length.
+array or [], and raise ValueError on rows of any other length and on a
+coordinate that is not finite.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -103,6 +107,17 @@ def test_negative_mode_raises_one_message(name, kernel, n_max, domain, kind):
             kernel(-1, x)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, kernel, n_max, domain, kind", KERNELS, ids=IDS)
+def test_non_finite_point_raises_one_message(name, kernel, n_max, domain, kind, bad):
+    # NaN passed every domain test, which asks whether a point is outside
+    sample = _DOMAINS[domain][1].copy()
+    sample[1, 2] = bad
+    for x in (sample[1, 2], sample, sample[1].tolist()):
+        with pytest.raises(ValueError, match=f"^{name} needs finite points$"):
+            _call(kernel, n_max, 3, x)
+
+
 @pytest.mark.parametrize("name, kernel, n_max, domain, kind", KERNELS, ids=IDS)
 def test_array_call_is_the_scalar_calls(name, kernel, n_max, domain, kind):
     points = st.lists(_DOMAINS[domain][0], min_size=1, max_size=6)
@@ -153,6 +168,17 @@ def test_points_reject_other_widths(routine, width):
     for bad in (np.ones((2, width)), np.ones(width), [[0.1] * width] * 2):
         with pytest.raises(ValueError, match="rows of 4 coordinates"):
             fn(bad)
+
+
+@pytest.mark.parametrize("routine", list(_POINT_ROUTINES))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_points_refuse_non_finite_coordinates(routine, bad):
+    fn = _POINT_ROUTINES[routine]
+    pts = _PROBES.copy()
+    pts[1, 2] = bad
+    for form in (pts, pts[1], pts.tolist(), Quaternion(*pts[1])):
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            fn(form)
 
 
 def test_additive_call_reads_one_point():
