@@ -80,9 +80,7 @@ _LOG_FLOOR = -96.0
 _RADIAL_R_MAX = 64.0
 _ANGULAR_NODES = 64
 
-# radial_fourier doubles its panels, from 8 (128 nodes), at most this often
-# (to 32,768 nodes) until the refinement estimate is within _RADIAL_TOL
-_RADIAL_MAX_DOUBLINGS = 8
+# radial_fourier's refinement tolerance, between 8 and 16 equal panels
 _RADIAL_TOL = 1e-10
 
 # homogeneity_check's u-spacing: from 0, a subset of the native 1/64 v-nodes
@@ -261,11 +259,11 @@ def radial_fourier(
 
     with rho_y the Euclidean radius of the probe.  The conjugate appears
     because the probe kernel e^{+4 pi i Re(xy)} carries the opposite phase
-    sign from the class-measure Bessel integral.  It runs on equal panels
-    of the cached 16-node Gauss-Legendre rule, doubling from 8 panels until
-    the refinement estimate is within 1e-10, at most 8 times, else (or at
-    once on a NaN estimate) QuadratureError.  An r_max that is not finite
-    and positive raises ValueError.
+    sign from the class-measure Bessel integral.  It runs on 8 and on 16
+    equal panels of the cached 16-node Gauss-Legendre rule (128 and 256
+    nodes) and returns the 16-panel values; a refinement estimate between
+    the two above 1e-10, or NaN, raises QuadratureError.  An r_max that is
+    not finite and positive raises ValueError.
     """
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"r_max must be finite and positive, got {r_max}")
@@ -276,23 +274,16 @@ def radial_fourier(
     # chi_N first: its guard refuses N < 0 before N + 1 divides
     prefactor = _chebyshev_u(N, cos_theta) * (8.0 * np.pi**2 / (N + 1))
 
-    prev = None
-    for doubling in range(_RADIAL_MAX_DOUBLINGS + 1):
-        r, wr = gauss_panels(np.linspace(0.0, r_max, 8 * 2**doubling + 1), _PANEL_NODES)
+    def on_panels(panels: int) -> np.ndarray:
+        r, wr = gauss_panels(np.linspace(0.0, r_max, panels + 1), _PANEL_NODES)
         q = np.asarray(radial(r), dtype=complex)
-        bess = np.conjugate(
-            angular_bessel(N, np.outer(r, rho).ravel()).reshape(len(r), len(rho))
-        )
-        vals = prefactor * ((wr * q * r**3) @ bess)
-        if prev is not None:
-            gap = refinement_gap(vals, prev)
-            # refine again only on a gap above the tolerance: a NaN stops here
-            if not gap > _RADIAL_TOL:
-                break
-        prev = vals
-    stage = f"radial_fourier: refinements at {len(r) // 2} and {len(r)} nodes"
-    check(QuadratureError, stage, gap, _RADIAL_TOL)
-    return vals
+        bess = np.conjugate(angular_bessel(N, np.outer(r, rho).ravel())).reshape(len(r), len(rho))
+        return prefactor * ((wr * q * r**3) @ bess)
+
+    coarse, fine = on_panels(8), on_panels(16)
+    stage = f"radial_fourier: refinements at {8 * _PANEL_NODES} and {16 * _PANEL_NODES} nodes"
+    check(QuadratureError, stage, refinement_gap(fine, coarse), _RADIAL_TOL)
+    return fine
 
 
 # ----------------------------------------------- regularized distributions
@@ -478,7 +469,10 @@ def homogeneity_check(N: int, s: complex, f: IsotypicFunction, u_half_width: flo
     u = log|x| over |u| <= u_half_width, through profile_value: from 0
     these u-nodes are a subset of the profile's native 1/64 v-nodes.  A
     u_half_width that is not finite, below 1/32 or beyond f's v-window
-    raises ValueError.
+    raises ValueError.  Off the critical line the residual also holds the
+    window's truncation, as H(phi) decays only like e^{-|u|/2}: at the
+    default window and N = 0 it is 2.2e-1 at s = 0.01 + i, 3.1e-3 at
+    0.1 + i and 1.2e-11 at 0.5 + i.
     """
     if N != f.N:
         raise ValueError("N must match the sector of f")

@@ -47,11 +47,9 @@ __all__ = [
     "IsotypicFunction",
     "AdditiveFunction",
     "gaussian_isotypic",
-    "omega_isotypic",
     "value_at_identity",
     "inversion",
     "gamma_transform",
-    "gamma_inverse",
     "fourier_transform",
     "op_A",
     "op_B",
@@ -108,15 +106,6 @@ def gaussian_isotypic(
     )
 
 
-def omega_isotypic() -> IsotypicFunction:
-    """The self-dual Gaussian e^{-2 pi n(x)} in multiplicative form:
-    N = 0, K(v) = sqrt(2 pi^2) e^{v/2} e^{-2 pi e^{v/2}} (u = |x|, so the
-    additive n(x) is u^{1/2} = e^{v/2})."""
-    return IsotypicFunction.from_log_function(
-        0, lambda v: SQRT_2PI2 * np.exp(0.5 * v) * np.exp(-2.0 * np.pi * np.exp(0.5 * v))
-    )
-
-
 def value_at_identity(f: IsotypicFunction) -> complex:
     """f(1) = chi_N(0) * K(0) = (N+1) * K(0)."""
     return (f.N + 1) * evaluate_at_one(f.spectral_profile)
@@ -148,11 +137,6 @@ def _multiply(
 def gamma_transform(f: IsotypicFunction) -> IsotypicFunction:
     """psi -> gamma_N * psi (unitary: the multiplier is unimodular)."""
     return _multiply(f, gamma_multiplier)
-
-
-def gamma_inverse(f: IsotypicFunction) -> IsotypicFunction:
-    """psi -> conj(gamma_N) * psi, the inverse of gamma_transform."""
-    return _multiply(f, lambda n, t: np.conjugate(gamma_multiplier(n, t)))
 
 
 def fourier_transform(f: IsotypicFunction) -> IsotypicFunction:

@@ -1,4 +1,4 @@
-"""Quaternion arithmetic over the basis {1, i, j, k}.
+"""Quaternions over the basis {1, i, j, k}, and the one reader of 4D points.
 
 Conventions used throughout the package:
 
@@ -16,20 +16,12 @@ float array, and any other shape raises ValueError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = [
-    "Quaternion",
-    "mul",
-    "conj",
-    "reduced_norm",
-    "module",
-    "class_angle",
-]
+__all__ = ["Quaternion"]
 
 
 @dataclass(frozen=True)
@@ -41,59 +33,9 @@ class Quaternion:
     x2: float = 0.0
     x3: float = 0.0
 
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.x0, -self.x1, -self.x2, -self.x3)
-
-    def scale(self, c: float) -> "Quaternion":
-        return Quaternion(c * self.x0, c * self.x1, c * self.x2, c * self.x3)
-
     @property
     def coords(self) -> tuple:
         return (self.x0, self.x1, self.x2, self.x3)
-
-
-ONE = Quaternion(1.0)
-I = Quaternion(0.0, 1.0)
-J = Quaternion(0.0, 0.0, 1.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Quaternion product (noncommutative; i*j = k = -j*i)."""
-    return Quaternion(
-        p.x0 * q.x0 - p.x1 * q.x1 - p.x2 * q.x2 - p.x3 * q.x3,
-        p.x0 * q.x1 + p.x1 * q.x0 + p.x2 * q.x3 - p.x3 * q.x2,
-        p.x0 * q.x2 - p.x1 * q.x3 + p.x2 * q.x0 + p.x3 * q.x1,
-        p.x0 * q.x3 + p.x1 * q.x2 - p.x2 * q.x1 + p.x3 * q.x0,
-    )
-
-
-def conj(q: Quaternion) -> Quaternion:
-    return Quaternion(q.x0, -q.x1, -q.x2, -q.x3)
-
-
-def reduced_norm(q: Quaternion) -> float:
-    """n(q) = q*conj(q); multiplicative, zero iff q = 0."""
-    return q.x0 * q.x0 + q.x1 * q.x1 + q.x2 * q.x2 + q.x3 * q.x3
-
-
-def module(q: Quaternion) -> float:
-    """|q| = n(q)^2, the factor by which left (or right) translation by q
-    scales the additive Haar measure."""
-    n = reduced_norm(q)
-    return n * n
-
-
-def class_angle(q: Quaternion) -> float:
-    """Class angle theta in [0, pi] of the unit part of q: cos(theta) = x0/r.
-
-    Conjugation-invariant; defined for any nonzero quaternion.
-    """
-    r = math.sqrt(reduced_norm(q))
-    if r == 0.0:
-        raise ValueError("class angle of the zero quaternion is undefined")
-    c = q.x0 / r
-    return math.acos(min(1.0, max(-1.0, c)))
 
 
 _Points = Union[Quaternion, Sequence[float], Sequence[Union[Quaternion, Sequence[float]]], np.ndarray]

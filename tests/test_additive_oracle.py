@@ -19,7 +19,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from quatgamma import DecayError, QuadratureError, _quadrature, additive_oracle, specfun
+from quatgamma import DecayError, QuadratureError, _quadrature, additive_oracle, cli, specfun
 from quatgamma._quadrature import gauss_panels
 from quatgamma.additive_oracle import (
     G_CONSTANT,
@@ -365,9 +365,9 @@ def test_radial_matches_brute(box, N):
 
 
 def test_radial_failure_is_reported(monkeypatch):
-    # at a zero tolerance the ladder runs all eight doublings, up to 2,048
-    # equal panels of the cached 16-node rule (32,768 nodes), and builds no
-    # other Gauss-Legendre rule on the way
+    # at a zero tolerance the fixed pair, 8 and 16 equal panels of the
+    # cached 16-node rule (128 and 256 nodes), is named, and no other
+    # Gauss-Legendre rule is built on the way
     def q(r):
         return r * np.exp(-2.0 * np.pi * r**2)
 
@@ -381,9 +381,24 @@ def test_radial_failure_is_reported(monkeypatch):
     monkeypatch.setattr(additive_oracle, "_RADIAL_TOL", 0.0)
     with pytest.raises(
         QuadratureError,
-        match=r"^radial_fourier: refinements at 16384 and 32768 nodes: estimate \S+ not within tolerance 0\.000e\+00$",
+        match=r"^radial_fourier: refinements at 128 and 256 nodes: estimate \S+ not within tolerance 0\.000e\+00$",
     ):
         radial_fourier(1, q, probes)
+
+
+def test_radial_unresolved_oscillation_is_refused():
+    # r^2 e^{-r^2/2} cos(40 r) at N = 2 needs more than 256 nodes on
+    # [0, 6]: at the README oracle-check probes (6 probes, seed 7) the two
+    # layouts differ by 2.2e-5, where a doubling ladder used to return a
+    # 32-panel value 6.1e-9 of the largest off
+    def q(r):
+        return r**2 * np.exp(-0.5 * r**2) * np.cos(40.0 * r)
+
+    with pytest.raises(
+        QuadratureError,
+        match=r"^radial_fourier: refinements at 128 and 256 nodes: estimate \S+ not within tolerance 1\.000e-10$",
+    ):
+        radial_fourier(2, q, cli._seeded_probes(6, 7))
 
 
 @pytest.mark.parametrize("r_max", [0.0, -1.0, math.nan, math.inf])
@@ -671,15 +686,16 @@ def test_homogeneity_is_the_radial_residual(u_half_width, monkeypatch):
 
     monkeypatch.setattr(additive_oracle, "angular_quadrature", refuse)
     f = gaussian_isotypic(N=1)
-    s = 0.5 + 0.75j
     m = int(round(u_half_width * 32))
     u = np.arange(-m, m + 1) / 32.0
-    weight = np.exp((0.5 - s) * u) / 32.0
-    lhs = np.sum(profile_value(op_H(f).spectral_profile, u) * weight)
-    rhs = gamma_log_derivative(1, s) * np.sum(profile_value(f.spectral_profile, u) * weight)
-    want = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    got = homogeneity_check(1, s, f, u_half_width=u_half_width)
-    assert abs(got - want) <= 1e-12 * want
+    # on the critical line, and just inside the strip's edge Re(s) = 0
+    for s in (0.5 + 0.75j, 1e-4 + 0.75j):
+        weight = np.exp((0.5 - s) * u) / 32.0
+        lhs = np.sum(profile_value(op_H(f).spectral_profile, u) * weight)
+        rhs = gamma_log_derivative(1, s) * np.sum(profile_value(f.spectral_profile, u) * weight)
+        want = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        got = homogeneity_check(1, s, f, u_half_width=u_half_width)
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_homogeneity_validation():

@@ -13,6 +13,7 @@ stack.
 
 import math
 import re
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,6 @@ from quatgamma.connes_trace import (
 )
 from quatgamma.gamma_op import (
     IsotypicFunction,
-    gamma_inverse,
     gaussian_isotypic,
     inversion,
     op_H,
@@ -53,6 +53,14 @@ def standard():
 @pytest.fixture(scope="module")
 def sweep(standard):
     return residual_sweep(TraceConfig(f=standard))
+
+
+def gamma_inverse(f):
+    """psi -> conj(gamma_N) * psi, applied on its own: the reference for
+    the sweep's Gamma^{-1} I, which it forms inline from one read of gamma_N."""
+    psi = f.spectral_profile
+    m = np.conjugate(gamma_multiplier(f.N, psi.grid))
+    return replace(f, spectral_profile=replace(psi, samples=m * psi.samples))
 
 
 def _filon_fourier(
@@ -511,11 +519,12 @@ def test_sweep_refuses_a_tolerance_that_checks_nothing(standard, tol):
         residual_sweep(TraceConfig(f=standard, lambdas=(2.0,), tolerance=tol))
 
 
-@pytest.mark.parametrize("log_lam", [32.5, 40.0])
+@pytest.mark.parametrize("log_lam", [32.0, 32.5, 40.0])
 def test_spectral_refuses_kink_outside_window(standard, log_lam):
     # the kink -2 log Lambda must lie inside the log window [-64, 64];
     # beyond it the weight max(2 log Lambda + v, 0) is positive on the
-    # whole window and the interval [v0, 64] would reach past its edge
+    # whole window and the interval [v0, 64] would reach past its edge.
+    # At Lambda = e^32 the kink is exactly -64.0, the window's edge
     lam = math.exp(log_lam)
     with pytest.raises(ValueError, match="outside the log window"):
         trace_spectral(standard, lam)
@@ -529,6 +538,17 @@ def test_fit_needs_two_points(sweep):
         fit_trace_expansion(sweep, min_lambda=100.0)
     with pytest.raises(ValueError):
         fit_trace_expansion([sweep[0]], min_lambda=1.5)
+
+
+def test_fit_keeps_min_lambda_and_fits_two_points():
+    # traces exactly on 1.5 * 2 log(Lambda) - 0.25: of 4, 8 and 16 the
+    # cutoff 8 equals min_lambda and is kept, and two cutoffs are a fit
+    def on_line(lam):
+        trace = complex(1.5 * 2.0 * math.log(lam) - 0.25)
+        return TraceResult(lam, trace, 0j, 0j, 0j, 0j, 0j)
+
+    slope, intercept = fit_trace_expansion([on_line(lam) for lam in (4.0, 8.0, 16.0)], min_lambda=8.0)
+    assert abs(slope - 1.5) <= 1e-13 and abs(intercept + 0.25) <= 1e-13
 
 
 def test_default_lambda_sweep_shape(sweep):

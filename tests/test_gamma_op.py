@@ -7,6 +7,8 @@ B = -Gamma A Gamma^{-1}.  All are checked on concrete profiles against
 tolerances a few orders above the measured error floors.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,9 @@ from quatgamma.gamma_op import (
     SQRT_2PI2,
     IsotypicFunction,
     fourier_transform,
-    gamma_inverse,
     gamma_transform,
     gaussian_isotypic,
     inversion,
-    omega_isotypic,
     op_A,
     op_B,
     op_H,
@@ -28,6 +28,7 @@ from quatgamma.gamma_op import (
     value_at_identity,
 )
 from quatgamma.quat_core import Quaternion
+from quatgamma.specfun import gamma_multiplier
 from quatgamma.su2_angular import character
 
 
@@ -37,6 +38,22 @@ def psi_of(f):
 
 def k_of(f):
     return f.log_profile.samples
+
+
+def gamma_inverse(f):
+    """psi -> conj(gamma_N) * psi, the inverse of gamma_transform."""
+    psi = f.spectral_profile
+    m = np.conjugate(gamma_multiplier(f.N, psi.grid))
+    return replace(f, spectral_profile=replace(psi, samples=m * psi.samples))
+
+
+def omega_isotypic():
+    """The self-dual Gaussian e^{-2 pi n(x)} in multiplicative form:
+    N = 0, K(v) = sqrt(2 pi^2) e^{v/2} e^{-2 pi e^{v/2}} (u = |x|, so the
+    additive n(x) is u^{1/2} = e^{v/2})."""
+    return IsotypicFunction.from_log_function(
+        0, lambda v: SQRT_2PI2 * np.exp(0.5 * v) * np.exp(-2.0 * np.pi * np.exp(0.5 * v))
+    )
 
 
 def test_gaussian_isotypic_value_at_identity():

@@ -189,7 +189,6 @@ def _spectral_zero_tolerance(monkeypatch):
 
 
 def _radial_zero_tolerance(monkeypatch):
-    monkeypatch.setattr(additive_oracle, "_RADIAL_MAX_DOUBLINGS", 1)
     monkeypatch.setattr(additive_oracle, "_RADIAL_TOL", 0.0)
     radial_fourier(1, lambda r: r * np.exp(-2.0 * np.pi * r * r), [[0.3, 0.4, 0.0, 0.1]])
 

@@ -1,17 +1,35 @@
-"""Arithmetic, norm, polar and matrix-representation checks for quat_core.
+"""The quaternion product, the additive character and the 4D Fourier kernel.
 
-The 2x2 complex matrix representations (_matrix_reps) are an independent
-model of the quaternion product, used here as its oracle."""
+The package needs no scalar quaternion arithmetic, so the product lives
+here as the reference that pins brute_fourier's kernel; the 2x2 complex
+matrix representations (_matrix_reps) are an independent model of the
+product, used here as its oracle."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-import pytest
 
 from quatgamma.additive_oracle import Grid4D, GridFunction, brute_fourier
-from quatgamma.quat_core import Quaternion, class_angle, conj, module, mul, reduced_norm
+from quatgamma.quat_core import Quaternion
+
+
+def mul(p: Quaternion, q: Quaternion) -> Quaternion:
+    """Quaternion product (noncommutative; i*j = k = -j*i)."""
+    return Quaternion(
+        p.x0 * q.x0 - p.x1 * q.x1 - p.x2 * q.x2 - p.x3 * q.x3,
+        p.x0 * q.x1 + p.x1 * q.x0 + p.x2 * q.x3 - p.x3 * q.x2,
+        p.x0 * q.x2 - p.x1 * q.x3 + p.x2 * q.x0 + p.x3 * q.x1,
+        p.x0 * q.x3 + p.x1 * q.x2 - p.x2 * q.x1 + p.x3 * q.x0,
+    )
+
+
+def conj(q: Quaternion) -> Quaternion:
+    return Quaternion(q.x0, -q.x1, -q.x2, -q.x3)
+
+
+def norm(q: Quaternion) -> float:
+    """n(q) = x0^2 + x1^2 + x2^2 + x3^2."""
+    return sum(c * c for c in q.coords)
 
 
 def rand_quat(rng, scale: float = 2.0) -> Quaternion:
@@ -37,17 +55,17 @@ def _matrix_reps(q: Quaternion) -> tuple:
 
 
 def test_basis_products():
-    one = Quaternion(1.0)
     i = Quaternion(0.0, 1.0)
     j = Quaternion(0.0, 0.0, 1.0)
     k = Quaternion(0.0, 0.0, 0.0, 1.0)
     assert mul(i, j) == k
-    assert mul(j, i) == -k
+    assert mul(j, i) == Quaternion(0.0, 0.0, 0.0, -1.0)
     assert mul(j, k) == i
     assert mul(k, i) == j
-    assert mul(i, i) == -one
-    assert mul(j, j) == -one
-    assert mul(k, k) == -one
+    minus_one = Quaternion(-1.0)
+    assert mul(i, i) == minus_one
+    assert mul(j, j) == minus_one
+    assert mul(k, k) == minus_one
 
 
 def test_hand_product():
@@ -73,26 +91,16 @@ def test_conj_antihomomorphism():
         assert dist(conj(mul(p, q)), mul(conj(q), conj(p))) <= 1e-13
 
 
-# ------------------------------------------------------------- norm / module
-
-
-def test_norm_and_module_values():
-    q = Quaternion(0.0, 2.0, 0.0, 0.0)  # 2i
-    assert reduced_norm(q) == 4.0
-    assert module(q) == 16.0
-    assert reduced_norm(Quaternion(1.0, 1.0, 1.0, 1.0)) == 4.0
+# ------------------------------------------------------------------ norm
 
 
 def test_norm_multiplicative():
     rng = np.random.default_rng(11)
     for _ in range(300):
         p, q = rand_quat(rng), rand_quat(rng)
-        lhs = reduced_norm(mul(p, q))
-        rhs = reduced_norm(p) * reduced_norm(q)
+        lhs = norm(mul(p, q))
+        rhs = norm(p) * norm(q)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-        assert abs(module(mul(p, q)) - module(p) * module(q)) <= 1e-11 * max(
-            1.0, module(p) * module(q)
-        )
 
 
 def test_norm_is_q_times_conj():
@@ -100,49 +108,8 @@ def test_norm_is_q_times_conj():
     for _ in range(100):
         q = rand_quat(rng)
         prod = mul(q, conj(q))
-        assert abs(prod.x0 - reduced_norm(q)) <= 1e-13 * max(1.0, prod.x0)
+        assert abs(prod.x0 - norm(q)) <= 1e-13 * max(1.0, prod.x0)
         assert max(abs(prod.x1), abs(prod.x2), abs(prod.x3)) <= 1e-13
-
-
-# ---------------------------------------------------------------- polar form
-
-
-def test_polar_roundtrip_and_module_power():
-    # q = r * g0 with r = n(q)^{1/2}: the unit part has norm 1, the class
-    # angle is that of g0, and the module is |q| = r^4
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        q = rand_quat(rng)
-        if reduced_norm(q) < 1e-12:
-            continue
-        r = math.sqrt(reduced_norm(q))
-        unit = q.scale(1.0 / r)
-        assert abs(reduced_norm(unit) - 1.0) <= 1e-12
-        assert dist(unit.scale(r), q) <= 1e-12 * max(1.0, r)
-        assert abs(class_angle(unit) - class_angle(q)) <= 1e-12
-        assert abs(module(q) - r**4) <= 1e-11 * max(1.0, r**4)
-
-
-def test_polar_zero_raises():
-    # the zero quaternion has no polar form, hence no class angle
-    with pytest.raises(ValueError):
-        class_angle(Quaternion(0.0))
-
-
-def test_class_angle_values_and_invariance():
-    assert class_angle(Quaternion(3.0)) == 0.0
-    assert abs(class_angle(Quaternion(0.0, 2.0, 0.0, 0.0)) - math.pi / 2) <= 1e-15
-    assert abs(class_angle(Quaternion(-5.0)) - math.pi) <= 1e-15
-    # invariance under conjugation q -> g q g^{-1}
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        q, g = rand_quat(rng), rand_quat(rng)
-        ng = reduced_norm(g)
-        if ng < 1e-12 or reduced_norm(q) < 1e-12:
-            continue
-        ginv = conj(g).scale(1.0 / ng)
-        q2 = mul(mul(g, q), ginv)
-        assert abs(class_angle(q2) - class_angle(q)) <= 1e-10
 
 
 # ----------------------------------------------------------------- character
@@ -187,7 +154,7 @@ def test_matrix_reps_identity_and_det():
     for _ in range(100):
         q = rand_quat(rng)
         left, right = _matrix_reps(q)
-        n = reduced_norm(q)
+        n = norm(q)
         assert abs(np.linalg.det(left) - n) <= 1e-12 * max(1.0, n)
         assert abs(np.linalg.det(right) - n) <= 1e-12 * max(1.0, n)
         # trace of both reps is 2*x0

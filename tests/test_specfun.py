@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from quatgamma import NonConvergenceError, specfun
+from quatgamma.gamma_op import DEFAULT_TAU_HALF_WIDTH, DEFAULT_TAU_SPACING
 from quatgamma.specfun import (
     LOG_2PI,
     digamma,
@@ -293,6 +294,22 @@ def test_k_bounded_and_monotone_in_n():
     for t in (0.5, 1.0, 2.0):
         vals = [abs(k_multiplier(n, t)) for n in range(21)]
         assert all(vals[i + 1] <= vals[i] + 1e-14 for i in range(20))
+
+
+def test_sector_recurrence_on_the_default_grid():
+    # Gamma(z + 1) = z Gamma(z) at z = 1 + N/2 + 2 i tau steps every
+    # multiplier from sector N to N + 2 with no special function; one step
+    # from the kernel at N meets the kernel at N + 2 within 6.5e-13 (gamma),
+    # 1.2e-14 (h, absolute) and 1.0e-15 (k, normwise) for N + 2 <= 40
+    m = int(round(DEFAULT_TAU_HALF_WIDTH / DEFAULT_TAU_SPACING))
+    tau = DEFAULT_TAU_SPACING * np.arange(-m, m + 1)
+    sectors = [(gamma_multiplier(n, tau), h_multiplier(n, tau), k_multiplier(n, tau)) for n in range(41)]
+    for n in range(39):
+        z = 1.0 + n / 2.0 + 2j * tau
+        (g, h, k), (g2, h2, k2) = sectors[n], sectors[n + 2]
+        assert np.max(np.abs(g2 + g * z / np.conj(z))) <= 1e-11
+        assert np.max(np.abs(h2 - h - 4.0 * (1.0 / z).real)) <= 1e-13
+        assert np.max(np.abs(k2 - k + 8.0 * (1.0 / z**2).imag)) <= 1e-14 * np.max(np.abs(k2))
 
 
 # --------------------------------------------------------------- eps expansion

@@ -371,6 +371,16 @@ def test_aliasing_guard():
         from_spectral(psi, LOG_GRID[0], 256.0)
 
 
+def test_aliasing_guard_accepts_its_bound():
+    # v-spacing pi/64 times tau half-width 64 is pi exactly in floats: the
+    # sampling bound itself passes, and the transform is the closed form
+    k = Profile.from_function(lambda v: np.exp(-0.5 * v * v), np.pi / 64.0, 5.0 * np.pi)
+    assert k.spacing * TAU_GRID[1] == np.pi
+    psi = to_spectral(k, *TAU_GRID)
+    # measured 1.1e-12, the chirp-z rounding at phases up to 64 * 5 pi
+    assert np.max(np.abs(psi.samples - np.sqrt(2.0 * np.pi) * np.exp(-0.5 * psi.grid**2))) <= 1e-11
+
+
 def test_decay_guard():
     flat = Profile.from_function(np.ones_like, *LOG_GRID)
     with pytest.raises(DecayError):
