@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -291,15 +291,17 @@ def radial_fourier(
 
 def _class_average(
     phi: Callable[[np.ndarray], np.ndarray], radii: np.ndarray, angular_nodes: int
-) -> np.ndarray:
-    """Average of a central function over the sphere of each radius,
-    against the normalized class measure (2/pi) sin^2(theta) dtheta."""
+) -> Tuple[complex, np.ndarray]:
+    """phi(0), and the average of a central function over the sphere of
+    each radius against the normalized class measure (2/pi) sin^2(theta)
+    dtheta, from one call of phi (the origin is its last point)."""
     theta, weights = angular_quadrature(angular_nodes)
-    pts = np.zeros((len(radii), angular_nodes, 4))
-    pts[..., 0] = radii[:, None] * np.cos(theta)[None, :]
-    pts[..., 1] = radii[:, None] * np.sin(theta)[None, :]
-    vals = np.asarray(phi(pts.reshape(-1, 4)), dtype=complex)
-    return vals.reshape(len(radii), angular_nodes) @ weights
+    pts = np.zeros((len(radii) * angular_nodes + 1, 4))
+    spheres = pts[:-1].reshape(len(radii), angular_nodes, 4)
+    spheres[..., 0] = radii[:, None] * np.cos(theta)[None, :]
+    spheres[..., 1] = radii[:, None] * np.sin(theta)[None, :]
+    vals = np.asarray(phi(pts), dtype=complex)
+    return complex(vals[-1]), vals[:-1].reshape(len(radii), angular_nodes) @ weights
 
 
 def _regularized_pairing(
@@ -320,13 +322,12 @@ def _regularized_pairing(
     for name, count in (("nodes_per_panel", nodes_per_panel), ("angular_nodes", angular_nodes)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
-    phi_zero = complex(np.asarray(phi(np.zeros((1, 4))), dtype=complex)[0])
     u_top = 4.0 * math.log(_RADIAL_R_MAX)
     inner_edges = np.linspace(log_floor, 0.0, max(2, int(math.ceil(-log_floor / 2.0))) + 1)
     outer_edges = np.linspace(0.0, u_top, max(2, int(math.ceil(u_top / 2.0))) + 1)
     u_in, w_in = gauss_panels(inner_edges, nodes_per_panel)
     u_out, w_out = gauss_panels(outer_edges, nodes_per_panel)
-    avg = _class_average(phi, np.exp(np.concatenate([u_in, u_out]) / 4.0), angular_nodes)
+    phi_zero, avg = _class_average(phi, np.exp(np.concatenate([u_in, u_out]) / 4.0), angular_nodes)
     k = len(u_in)
     inner = np.sum(w_in * np.exp(s * u_in) * (avg[:k] - phi_zero))
     return inner + np.sum(w_out * np.exp(s * u_out) * avg[k:]), phi_zero

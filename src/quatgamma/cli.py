@@ -65,8 +65,9 @@ _ORACLE_PROBE_OVERHEAD = 2000
 _MAX_ORACLE_PROBE_WORK = 6 * (_MAX_ORACLE_GRID_M**3 + _ORACLE_PROBE_OVERHEAD)
 
 # largest trace_direct run, in bytes of its fine-pass node arrays (see
-# _trace_direct_bytes); peak RSS of a warmed-up process grew by 96 to 98
-# bytes per node at cutoffs 1e8 to 1.6e9, mostly profile_value temporaries
+# _trace_direct_bytes); peak RSS of a warmed-up process grew by 96 to 97
+# bytes per node at cutoffs 1e8 to 1.6e9: both passes' kernel values, the
+# fine rule, its Bessel factor and integrand (profile_value spreads in blocks)
 _MAX_TRACE_DIRECT_BYTES = 1e9
 _TRACE_DIRECT_BYTES_PER_NODE = 100
 

@@ -31,12 +31,12 @@ w = (N + 1) dtau / 2 pi,
     Tr(Lambda) = w int_{-L}^{V} (L + v) P(v) dv = w (L C0(-L) + C1(-L)).
 
 One kernel serves a whole cutoff list (_spectral_sweep): every kink is a
-panel edge, P is evaluated once per panel width, and the two suffix sums
-give at each cutoff the trace, its exact slope w C0 -> f(1) and its exact
-intercept w C1 -> -H(f)(1).  G is band-limited to the tau-window, so
-fixed Gauss-Legendre panels resolve the product to rounding.  The other
-kinks of a list split a trace's panels, so its last bits depend on the
-list; reruns are byte-identical.
+panel edge, P is read at both panel widths from one profile_value call
+per factor, and two suffix sums give at each cutoff the trace, its exact
+slope w C0 -> f(1) and its exact intercept w C1 -> -H(f)(1).  G is
+band-limited to the tau-window, so fixed Gauss-Legendre panels resolve
+the product to rounding.  The other kinks of a list split a trace's
+panels, so its last bits depend on the list; reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from ._errors import QuadratureError, check, check_tolerance
 from ._quadrature import gauss_panels, refinement_gap
 from .gamma_op import IsotypicFunction, gamma_transform, op_H, value_at_identity
 from .specfun import gamma_multiplier
-from .spectral_line import Profile, profile_value
+from .spectral_line import profile_value
 from .su2_angular import angular_bessel
 
 __all__ = [
@@ -128,15 +128,28 @@ def _direct_panel_edges(v_min: float, v_top: float) -> np.ndarray:
     return np.array(edges)
 
 
-def _direct_quadrature(
-    gamma_f: IsotypicFunction, two_log: float, nodes_per_panel: int, v_min: float
-) -> complex:
-    edges = _direct_panel_edges(v_min, two_log)
-    v, wt = gauss_panels(edges, nodes_per_panel)
-    kernel = profile_value(gamma_f.spectral_profile, v)
-    bess = angular_bessel(gamma_f.N, np.exp(v / 4.0))
+def _direct_sum(N: int, two_log: float, v: np.ndarray, wt: np.ndarray, kernel: np.ndarray) -> complex:
+    """One refinement's radial integral; its temporaries go on return."""
+    bess = angular_bessel(N, np.exp(v / 4.0))
     integrand = (two_log - v) * kernel * bess * np.exp(v / 2.0)
-    return complex(2.0 * np.pi**2 * np.sum(wt * integrand))
+    integrand *= wt
+    return complex(2.0 * np.pi**2 * np.sum(integrand))
+
+
+def _direct_quadratures(
+    gamma_f: IsotypicFunction, two_log: float, v_min: float, nodes: Sequence[int]
+) -> List[complex]:
+    """The radial integral at each node count per panel, from one
+    profile_value call; each rule is dropped once summed."""
+    edges = _direct_panel_edges(v_min, two_log)
+    rules = [gauss_panels(edges, n) for n in nodes]
+    kernels = profile_value(gamma_f.spectral_profile, np.concatenate([v for v, _ in rules]))
+    values = []
+    while rules:
+        v, wt = rules.pop(0)
+        values.append(_direct_sum(gamma_f.N, two_log, v, wt, kernels[: len(v)]))
+        kernels = kernels[len(v) :]
+    return values
 
 
 def trace_direct(
@@ -160,10 +173,8 @@ def trace_direct(
         raise ValueError(
             f"v_min must lie in [-{f.v_half_width:g}, 2 log(cutoff) = {two_log:.4g}), got {v_min}"
         )
-    gamma_f = gamma_transform(f)
     n = _DIRECT_PANEL_NODES
-    coarse = _direct_quadrature(gamma_f, two_log, n, v_min)
-    fine = _direct_quadrature(gamma_f, two_log, n + n // 2, v_min)
+    coarse, fine = _direct_quadratures(gamma_transform(f), two_log, v_min, (n, n + n // 2))
     stage = f"trace_direct at cutoff {lam}: refinements at {n} and {n + n // 2} nodes per panel"
     check(QuadratureError, stage, refinement_gap(fine, coarse), tol)
     return fine
@@ -172,18 +183,18 @@ def trace_direct(
 # ---------------------------------------------------------- spectral route
 
 
-def _kink_moments(
-    psi: Profile, gamma_prof: Profile, n: int, kinks: np.ndarray, top: float, width: float
-) -> np.ndarray:
-    """Rows (w C0, w C1) from each kink up to top, on equal panels at most
-    width wide between consecutive edges, every kink an edge."""
+def _kink_rule(kinks: np.ndarray, top: float, width: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights from the lowest kink to top, on equal panels
+    at most width wide between consecutive edges, every kink an edge."""
     stops = sorted(set(kinks)) + [top]
     spans = zip(stops, stops[1:])
     pieces = [np.linspace(a, b, math.ceil((b - a) / width), endpoint=False) for a, b in spans]
-    nodes, weights = gauss_panels(np.concatenate(pieces + [[top]]), 32)
-    # w G(v) = (N + 1) profile_value(gamma_prof, -v)
-    p = (n + 1) * profile_value(psi, nodes) * profile_value(gamma_prof, -nodes)
-    p *= weights
+    return gauss_panels(np.concatenate(pieces + [[top]]), 32)
+
+
+def _kink_moments(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray, kinks: np.ndarray) -> np.ndarray:
+    """Rows (w C0, w C1) from each kink up to the top node, w P = p at the nodes."""
+    p = p * weights
     vp = nodes * p
     return np.array([(np.sum(p[i:]), np.sum(vp[i:])) for i in np.searchsorted(nodes, kinks)])
 
@@ -191,9 +202,10 @@ def _kink_moments(
 def _spectral_sweep(f: IsotypicFunction, lambdas: Sequence[float], tol: float) -> np.ndarray:
     """Rows (Tr, w C0, w C1) at the cutoffs in lambdas' order.  The weight
     vanishes at the kink, so dTr/dL = w C0(-L) and Tr - L dTr/dL = w C1(-L)
-    exactly.  P is evaluated once per panel width, 1.0 and 0.5, whatever
-    the number of cutoffs; the widths must agree within tol on all three
-    numbers, else the first failing cutoff is named."""
+    exactly.  P is evaluated at both panel widths, 1.0 and 0.5, from one
+    profile_value call per factor, whatever the number of cutoffs; the
+    widths must agree within tol on all three numbers, else the first
+    failing cutoff is named."""
     v_half = f.v_half_width
     two_logs = []
     for lam in lambdas:
@@ -211,9 +223,13 @@ def _spectral_sweep(f: IsotypicFunction, lambdas: Sequence[float], tol: float) -
     gamma = gamma_multiplier(f.N, f.spectral_profile.grid)
     psi = replace(f.spectral_profile, samples=np.conjugate(gamma) * f.spectral_profile.samples[::-1])
     gamma_prof = replace(f.spectral_profile, samples=gamma)
+    rules = [_kink_rule(kinks, v_half, width) for width in (1.0, 0.5)]
+    nodes = np.concatenate([v for v, _ in rules])
+    # w G(v) = (N + 1) profile_value(gamma_prof, -v)
+    p = (f.N + 1) * profile_value(psi, nodes) * profile_value(gamma_prof, -nodes)
     rows = []
-    for width in (1.0, 0.5):
-        c0, c1 = _kink_moments(psi, gamma_prof, f.N, kinks, v_half, width).T
+    for (v, wt), p_width in zip(rules, np.split(p, [len(rules[0][0])])):
+        c0, c1 = _kink_moments(v, wt, p_width, kinks).T
         rows.append(np.stack([L * c0 + c1, c0, c1], axis=1))
     coarse, fine = rows
     for lam, c, row in zip(lambdas, coarse, fine):

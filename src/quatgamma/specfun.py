@@ -17,6 +17,13 @@ real multipliers
 
 (h even, k odd; k = -dh/dtau).
 
+The line multipliers evaluate their special function through _on_line.
+On a tau-grid symmetric about 0 (tau[::-1] == -tau, as every Profile grid
+is) it evaluates the upper half and mirrors the conjugates below: z(-tau)
+is conj z(tau) exactly, and loggamma, psi and trigamma commute with
+conjugation bitwise (pinned for N <= 40 on the default grid).  Any other
+grid, such as a CLI table's, is evaluated in full.
+
 Every pointwise kernel of the package, here and in su2_angular and
 additive_oracle, takes its point argument through _pointwise: a Python
 scalar (or 0-d array) gives a Python complex or float, any other array
@@ -162,6 +169,17 @@ def gamma_factor(N: int, s: ArrayLike) -> ArrayLike:
     return _I_POW[N % 4] * np.exp(exponent)
 
 
+def _on_line(kernel: Callable[[np.ndarray], np.ndarray], N: int, tau: np.ndarray) -> np.ndarray:
+    """kernel(1 + N/2 + 2i*tau) for log_gamma, digamma or trigamma; on a
+    symmetric grid from its upper half (see the module docstring)."""
+    z = 1.0 + 0.5 * N + 2.0j * tau
+    if tau.ndim != 1 or not np.array_equal(tau[::-1], -tau):
+        return kernel(z)
+    half = len(tau) // 2
+    upper = kernel(z[half:])
+    return np.concatenate([np.conjugate(upper[::-1][:half]), upper])
+
+
 @_pointwise(float)
 def gamma_multiplier(N: int, tau: ArrayLike) -> ArrayLike:
     """The unimodular multiplier gamma_N(tau) = gamma_factor(N, 1/2 + i*tau).
@@ -171,7 +189,7 @@ def gamma_multiplier(N: int, tau: ArrayLike) -> ArrayLike:
     factor is exp of a purely imaginary number times i^N, so |result| = 1
     holds to rounding by construction.
     """
-    phase = 2.0 * np.imag(log_gamma(1.0 + 0.5 * N + 2.0j * tau)) - 4.0 * tau * LOG_2PI
+    phase = 2.0 * np.imag(_on_line(log_gamma, N, tau)) - 4.0 * tau * LOG_2PI
     return _I_POW[N % 4] * np.exp(1j * phase)
 
 
@@ -193,13 +211,13 @@ def gamma_log_derivative(N: int, s: ArrayLike) -> ArrayLike:
 @_pointwise(float)
 def h_multiplier(N: int, tau: ArrayLike) -> ArrayLike:
     """gamma_log_derivative on the critical line, in its real form."""
-    return -4.0 * LOG_2PI + 4.0 * np.real(digamma(1.0 + 0.5 * N + 2.0j * tau))
+    return -4.0 * LOG_2PI + 4.0 * np.real(_on_line(digamma, N, tau))
 
 
 @_pointwise(float)
 def k_multiplier(N: int, tau: ArrayLike) -> ArrayLike:
     """Negative tau-derivative of h_multiplier: 8*Im psi'(1 + N/2 + 2i*tau)."""
-    return 8.0 * np.imag(trigamma(1.0 + 0.5 * N + 2.0j * tau))
+    return 8.0 * np.imag(_on_line(trigamma, N, tau))
 
 
 # ------------------------------------------------------------- series constant

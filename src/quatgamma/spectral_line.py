@@ -26,6 +26,9 @@ is the chirp-z fast path (_unit_chirp_sum: Bluestein at the circular
 length next_fast_len(p + n_out - 1), the kernel the mirrored conjugate
 chirp, the phases formed directly); the quadrature value (here the plain
 Riemann sum) is the contract, and tests check it against direct sums.
+The grid-only arrays (chirp, circular length, kernel FFT, input and output
+phases) form one read-only plan per geometry, built on first use (_plan
+keeps the 8 latest); cached or not, a transform's bits are the same.
 
 Off the grid, K(v) = (spacing_tau / 2 pi) sum_k psi_k e^{-i tau_k v} is a
 type-2 nonuniform FFT in x = spacing_tau * v (mod 2 pi).  profile_value
@@ -35,6 +38,9 @@ the result on a periodic grid with _NUFFT_OVERSAMPLING times as many
 points as there are modes, and each target sums the Gaussian-weighted
 values of the 2 * _NUFFT_HALF_WIDTH grid points around it.  The cost is
 O(M log M + P w) for M modes and P targets instead of the dense O(P M).
+Targets are spread in blocks of _SPREAD_BLOCK, each on its own, so a
+caller passes all targets of one profile in one call, pays one gridding
+FFT and gets the bits of separate calls.
 The error is about 1e-15 of the peak |K| for the package's profiles and
 about 1e-14 of sum_k |psi_k| spacing_tau / 2 pi for any psi; tests pin it
 to 1e-12 of the peak against the dense sum.
@@ -42,8 +48,9 @@ to 1e-12 of the peak against the dense sum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -67,6 +74,9 @@ _DECAY_GUARD = 1e-8
 # puts both below rounding (w = 12 leaves ~1e-13 of the peak).
 _NUFFT_OVERSAMPLING = 2
 _NUFFT_HALF_WIDTH = 16
+# targets profile_value spreads at a time: about 60 bytes of temporaries a
+# target (tracemalloc), so beyond its result a call's peak is bounded
+_SPREAD_BLOCK = 4096
 
 
 def _uniform_grid(spacing: float, half_width: float) -> np.ndarray:
@@ -124,20 +134,36 @@ def _check_reciprocity(dv: float, v_half: float, dtau: float, tau_half: float) -
 # -------------------------------------------------------------- transforms
 
 
-def _unit_chirp_sum(x: np.ndarray, n_out: int, angle: float) -> np.ndarray:
-    """out[k] = sum_n x[n] * e^{i*angle*k*n} for k = 0..n_out-1 (Bluestein).
+@functools.lru_cache(maxsize=8)
+def _plan(n_in: int, n_out: int, dx: float, x_half: float, spacing: float, half_width: float, sign: complex) -> tuple:
+    """What _resample needs of a grid geometry alone, built on first use
+    and shared read-only: the chirp, circular length and kernel FFT of
+    _bluestein, and the input and output phases."""
+    chirp, length, kernel = _bluestein(n_in, n_out, sign.imag * spacing * dx)
+    x_phase = np.exp(-sign * half_width * dx * np.arange(n_in))
+    phase = np.exp(sign * half_width * x_half) * np.exp(-sign * spacing * np.arange(n_out) * x_half)
+    for a in (chirp, kernel, x_phase, phase):
+        a.setflags(write=False)
+    return chirp, length, kernel, x_phase, phase
 
-    With chirp[j] = e^{i*angle*j^2/2} (phases formed directly, once: exact
-    floats for power-of-two spacings), out = chirp * the circular convolution
-    of x*chirp with conj(chirp[d]) at d < n_out, mirrored to L - d for 0 < d < p,
-    at L = next_fast_len(p + n_out - 1): no wrapped term reaches an output.
-    """
-    p = len(x)
+
+def _bluestein(p: int, n_out: int, angle: float) -> Tuple[np.ndarray, int, np.ndarray]:
+    """The grid-only part of _unit_chirp_sum: chirp[j] = e^{i*angle*j^2/2}
+    (formed directly: exact floats for power-of-two spacings), the length
+    L = next_fast_len(p + n_out - 1), and the FFT of the kernel conj(chirp[d])
+    at d < n_out, mirrored to L - d for 0 < d < p: no wrapped term reaches an output."""
     length = next_fast_len(p + n_out - 1)
     chirp = np.exp(0.5j * angle * np.arange(max(p, n_out), dtype=float) ** 2)
     gap = np.zeros(length - p - n_out + 1)
     kernel = np.concatenate([chirp[:n_out], gap, chirp[p - 1 : 0 : -1]]).conj()
-    conv = ifft(fft(x * chirp[:p], length) * fft(kernel, overwrite_x=True))
+    return chirp, length, fft(kernel, overwrite_x=True)
+
+
+def _unit_chirp_sum(x: np.ndarray, n_out: int, chirp: np.ndarray, length: int, kernel: np.ndarray) -> np.ndarray:
+    """out[k] = sum_n x[n] * e^{i*angle*k*n} for k = 0..n_out-1 (Bluestein),
+    given _bluestein(len(x), n_out, angle): chirp times the circular
+    convolution of x*chirp with the kernel."""
+    conv = ifft(fft(x * chirp[: len(x)], length) * kernel)
     return chirp[:n_out] * conv[:n_out]
 
 
@@ -145,13 +171,10 @@ def _resample(src: Profile, spacing: float, half_width: float, sign: complex, sc
     """scale * sum_m src(x_m) e^{sign t_k x_m} at t_k = -half_width +
     spacing k, sign = +-1j.  With x_m = -x_half + dx m the exponent splits
     into a phase in m, the unit chirp sum in k m and a phase in k."""
-    dx, x_half = src.spacing, src.half_width
     n_out = int(round(2.0 * half_width / spacing)) + 1
-    x = src.samples * np.exp(-sign * half_width * dx * np.arange(len(src.samples)))
-    vals = _unit_chirp_sum(x, n_out, sign.imag * spacing * dx)
-    phase = np.exp(sign * half_width * x_half) * np.exp(
-        -sign * spacing * np.arange(n_out) * x_half
-    )
+    geometry = (len(src.samples), n_out, src.spacing, src.half_width, spacing, half_width, sign)
+    chirp, length, kernel, x_phase, phase = _plan(*geometry)
+    vals = _unit_chirp_sum(src.samples * x_phase, n_out, chirp, length, kernel)
     return Profile(spacing, half_width, scale * phase * vals)
 
 
@@ -207,20 +230,26 @@ def profile_value(
     # 2 pi / n it is e^{-(3 pi / 4 w) s^2}
     var = 4.0 * np.pi * w / (3.0 * n * n)
     k = np.arange(-m, m + 1)
+    deconvolved = psi.samples * np.exp(var * k * k)
+    # mode k sits at k mod n: 0..m at the start, -m..-1 at the end
     fine = np.zeros(n, dtype=complex)
-    fine[k % n] = psi.samples * np.exp(var * k * k)
+    fine[: m + 1] = deconvolved[m:]
+    fine[n - m :] = deconvolved[:m]
     fine *= psi.spacing / (n * np.sqrt(4.0 * np.pi * var))
     gridded = fft(fine, overwrite_x=True)
 
-    t = v_arr.ravel() * (psi.spacing * n / (2.0 * np.pi))
-    base = np.floor(t)
-    frac = t - base
-    # one reduction into [0, n): take(mode="wrap") then only wraps by w
-    base = np.mod(base, n).astype(np.int64)
-    out = np.zeros(t.shape, dtype=complex)
-    for offset in range(1 - w, w + 1):
-        weight = np.exp(-(0.75 * np.pi / w) * (frac - offset) ** 2)
-        out += weight * gridded.take(base + offset, mode="wrap")
+    flat = v_arr.ravel()
+    out = np.zeros(flat.shape, dtype=complex)
+    for start in range(0, len(flat), _SPREAD_BLOCK):
+        t = flat[start : start + _SPREAD_BLOCK] * (psi.spacing * n / (2.0 * np.pi))
+        base = np.floor(t)
+        frac = t - base
+        # one reduction into [0, n): take(mode="wrap") then only wraps by w
+        base = np.mod(base, n).astype(np.int64)
+        block = out[start : start + _SPREAD_BLOCK]
+        for offset in range(1 - w, w + 1):
+            weight = np.exp(-(0.75 * np.pi / w) * (frac - offset) ** 2)
+            block += weight * gridded.take(base + offset, mode="wrap")
     if v_arr.ndim == 0:
         return complex(out[0])
     return out.reshape(v_arr.shape)

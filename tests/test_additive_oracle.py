@@ -428,6 +428,20 @@ def test_g_two_resolutions_agree():
     assert abs(lo - hi) < 1e-8
 
 
+
+def test_g_reads_phi_in_one_call():
+    # phi(0) rides with the class nodes, so a profile-backed phi pays one
+    # gridding FFT; the origin is its last point
+    calls = []
+
+    def recording(pts):
+        calls.append(pts.copy())
+        return omega_exact(pts)
+
+    assert distribution_G(recording) == distribution_G(omega_exact)
+    assert len(calls) == 1 and not np.any(calls[0][-1])
+
+
 @pytest.mark.parametrize("floor", [0.0, 4.0, float("nan"), -float("inf")])
 def test_g_rejects_a_floor_that_is_not_finite_and_negative(floor):
     # a floor at or above 0 runs the inner panels backwards: 0.0 gave
@@ -473,7 +487,7 @@ def test_delta_s_regularized_matches_direct(s):
 
     edges = np.linspace(-96.0, 4.0 * math.log(64.0), 81)
     u, w = gauss_panels(edges, 16)
-    avg = _class_average(omega_exact, np.exp(u / 4.0), 64)
+    _, avg = _class_average(omega_exact, np.exp(u / 4.0), 64)
     direct = 2.0 * np.pi**2 * np.sum(w * np.exp(s * u) * avg)
     assert abs(delta_s(s, omega_exact) - direct) / abs(direct) < 1e-8
 

@@ -570,6 +570,53 @@ def test_manifest_is_read_off_the_arguments(argv, flags):
     assert cli._manifest(args) == want
 
 
+# the figures the README invocations publish: each trace-sweep and
+# functional-eq summary, the spectral-scan summary, and the oracle-check
+# report less duration_seconds (numpy 2.4.6, scipy 1.17.1)
+README_FIGURES = [
+    ("trace-sweep --n-min 0 --lambda-list 2,4,8,16,32,64", "trace.csv",
+     {"f_at_1": 0.9999999999999998, "h_at_1": -5.948985929717782, "intercept": 5.948985929717552,
+      "max_route_discrepancy": 6.0102234449346675e-09, "rows": 6, "slope": 1.0000000000000275}),
+    ("trace-sweep --n-min 1 --lambda-list 2,4,8", "trace_odd.csv",
+     {"f_at_1": 1.9999999999999996, "h_at_1": -10.005843245854749, "intercept": 10.005840646847858,
+      "max_route_discrepancy": 7.62007063130586e-10, "rows": 3, "slope": 2.0000005006764376}),
+    ("functional-eq --n-max 6 --s-grid 20x20", "residuals.csv",
+     {"max_funceq_residual": 2.0644773339064945e-15, "max_quad_residual": 3.300581162219783e-14, "rows": 2800}),
+    ("spectral-scan --n-max 20 --tau-min -100 --tau-max 100 --tau-step 0.1", "scan.csv",
+     {"max_abs_k": 6.90273807945035, "max_abs_k_at": [0, 0.30000000000001137], "min_h": -9.660370925243514,
+      "min_h_at": [0, 0.0], "rows": 42021}),
+    ("oracle-check --grid-m 33 --grid-l 2.0 --probes 6 --seed 7", "oracle.json",
+     {"multiplier_vs_brute": {"0": 2.7139787098444736e-05, "1": 3.2886756793638184e-05, "2": 0.001725955813706043},
+      "self_dual_error": 3.2438507401438306e-12, "self_dual_error_m_halved": 0.000366865164936217}),
+]
+
+
+def _assert_figures_close(got, want, where=""):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_figures_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_figures_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, int):
+        assert got == want, where
+    else:
+        # another numpy or scipy moves the last bits: 1e-12 relative, and for
+        # rounding-level figures (residuals, route gaps) 1e-13 absolute
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-13), f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("argv, name, figures", README_FIGURES, ids=[n for _, n, _ in README_FIGURES])
+def test_readme_figures_are_pinned(argv, name, figures, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8")) if name.endswith(".json") else read_summary(out)
+    del report["manifest"], report["duration_seconds"]
+    _assert_figures_close(report, figures)
+
+
 @pytest.mark.parametrize("value", ["0", "abc", "-3", "1.5", "cpus+1"])
 def test_thread_count_refused(value, monkeypatch, capsys):
     # only refused values: no run starts with them

@@ -302,6 +302,12 @@ def test_sweep_cost_does_not_grow_with_cutoffs(standard, monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
     assert seen[0] == seen[1]
     assert seen[0]["profile_value"] > 0 and seen[0]["gamma_multiplier"] > 0
+    # one gridding FFT per profile: both refinements of trace_direct in one
+    # call, both panel widths of trace_spectral in one call per factor
+    for route, calls in ((trace_direct, 1), (trace_spectral, 2)):
+        route(standard, 16.0)
+        assert counts["profile_value"] == calls
+        counts.update(dict.fromkeys(counts, 0))
 
 
 # ------------------------------------------------------------ route equality

@@ -312,6 +312,32 @@ def test_sector_recurrence_on_the_default_grid():
         assert np.max(np.abs(k2 - k + 8.0 * (1.0 / z**2).imag)) <= 1e-14 * np.max(np.abs(k2))
 
 
+
+@pytest.mark.parametrize(
+    "multiplier, kernel",
+    [(gamma_multiplier, "log_gamma"), (h_multiplier, "digamma"), (k_multiplier, "trigamma")],
+)
+def test_line_multipliers_on_half_of_a_symmetric_grid(multiplier, kernel, monkeypatch):
+    # on the default grid the kernel runs on the upper half and the lower
+    # half is its mirrored conjugate; one appended tau breaks the symmetry
+    # and takes the full evaluation, which must give the same bits
+    m = int(round(DEFAULT_TAU_HALF_WIDTH / DEFAULT_TAU_SPACING))
+    tau = DEFAULT_TAU_SPACING * np.arange(-m, m + 1)
+    seen = []
+    inner = getattr(specfun, kernel)
+
+    def recording(z):
+        seen.append(len(z))
+        return inner(z)
+
+    monkeypatch.setattr(specfun, kernel, recording)
+    for n in range(41):
+        half = multiplier(n, tau)
+        full = multiplier(n, np.append(tau, 0.3))[:-1]
+        assert half.tobytes() == full.tobytes()
+    assert seen == [m + 1, 2 * m + 2] * 41
+
+
 # --------------------------------------------------------------- eps expansion
 
 

@@ -18,6 +18,7 @@ from quatgamma.gamma_op import gamma_transform, gaussian_isotypic, op_B, op_H
 from quatgamma.specfun import gamma_multiplier
 from quatgamma.spectral_line import (
     Profile,
+    _bluestein,
     _unit_chirp_sum,
     evaluate_at_one,
     from_spectral,
@@ -177,7 +178,7 @@ def test_unit_chirp_sum_matches_direct_sum(p, n_out):
     rng = np.random.default_rng(p + n_out)
     x = rng.standard_normal(p) + 1j * rng.standard_normal(p)
     angle = TAU_GRID[0] * LOG_GRID[0]
-    fast = _unit_chirp_sum(x, n_out, angle)
+    fast = _unit_chirp_sum(x, n_out, *_bluestein(p, n_out, angle))
     slow = _chirp_sum_direct(x, n_out, angle)
     bound = 1e-13 * np.sum(np.abs(x))
     assert fast.shape == (n_out,)
@@ -205,6 +206,34 @@ def test_transforms_run_at_the_shortest_exact_length(monkeypatch):
     back = from_spectral(psi, 1.0 / 64.0, 64.0)
     assert len(back.samples) == 8193
     assert lengths and max(lengths) <= next_fast_len(16385)
+
+
+
+def test_transforms_do_not_depend_on_the_plan_cache():
+    # a plan holds only grid-only arrays, so a cold and a warm cache give
+    # the same bits, and a second transform on one geometry builds nothing
+    k = random_bump_profile(5)
+    spectral_line._plan.cache_clear()
+    cold = to_spectral(k, *TAU_GRID)
+    cold_back = from_spectral(cold, *LOG_GRID)
+    built = spectral_line._plan.cache_info().misses
+    warm = to_spectral(k, *TAU_GRID)
+    warm_back = from_spectral(warm, *LOG_GRID)
+    assert spectral_line._plan.cache_info().misses == built == 2
+    assert cold.samples.tobytes() == warm.samples.tobytes()
+    assert cold_back.samples.tobytes() == warm_back.samples.tobytes()
+
+
+def test_plan_arrays_refuse_writes():
+    k = random_bump_profile(5)
+    to_spectral(k, *TAU_GRID)
+    n_out = int(round(2.0 * TAU_GRID[1] / TAU_GRID[0])) + 1
+    plan = spectral_line._plan(len(k.samples), n_out, k.spacing, k.half_width, *TAU_GRID, 1j)
+    arrays = [a for a in plan if isinstance(a, np.ndarray)]
+    assert len(arrays) == 4
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 # ---------------------------------------------------------------- multipliers
@@ -305,6 +334,21 @@ def test_profile_value_scalar_empty_and_shape():
     block = PIN_TARGETS[:600].reshape(20, 30)
     flat = profile_value(psi, block.ravel())
     assert np.array_equal(profile_value(psi, block), flat.reshape(20, 30))
+
+
+
+def test_profile_value_block_size_invariant(monkeypatch):
+    # each target is spread on its own, so neither the block size nor the
+    # other targets of a call move its bits; three default blocks, and a
+    # prefix for the smallest sizes
+    psi = gamma_transform(gaussian_isotypic(1)).spectral_profile
+    default = spectral_line._SPREAD_BLOCK
+    v = np.random.default_rng(5).uniform(-80.0, 80.0, 2 * default + 5)
+    monkeypatch.setattr(spectral_line, "_SPREAD_BLOCK", len(v) + 1)
+    whole = profile_value(psi, v)
+    for block, count in ((1, 300), (7, 300), (default, len(v))):
+        monkeypatch.setattr(spectral_line, "_SPREAD_BLOCK", block)
+        assert profile_value(psi, v[:count]).tobytes() == whole[:count].tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
