@@ -12,10 +12,10 @@ CSV would break that rerun contract.
 Exit codes: 0 success, 1 numerical failure (quadrature or convergence
 guards), 2 usage error.
 
-Thread control: set QUATGAMMA_THREADS to an integer from 1 to the CPU
-count to pin the BLAS/OpenMP pool size; any other value exits 2.  It is
-applied before numpy is first imported, which is why every numerical
-import below lives inside its command function.
+Each command returns its figures and its table or report printer to one
+runner, ``_run``, the only code that reads the clock, writes and prints.
+Numerical imports follow each command's argument checks, so a refusal
+exits 2 before numpy loads.  Threads follow OMP_NUM_THREADS/OPENBLAS_NUM_THREADS.
 
 Tables and summaries are written to a temporary file beside the target
 and renamed over it, so a run that fails part-way leaves the previous
@@ -40,13 +40,6 @@ from ._errors import AliasingError, DecayError, NonConvergenceError, QuadratureE
 
 if TYPE_CHECKING:
     import numpy as np
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 
 
 # largest table a command writes, in rows (sectors x grid points), counted
@@ -88,19 +81,6 @@ class _UsageError(ValueError):
 
 
 # ------------------------------------------------------------------ plumbing
-
-
-def _apply_thread_env() -> None:
-    want = os.environ.get("QUATGAMMA_THREADS")
-    if not want:
-        return
-    limit = os.cpu_count() or 1
-    if re.fullmatch(r"[0-9]+", want) is None or not 1 <= int(want) <= limit:
-        raise _UsageError(
-            f"QUATGAMMA_THREADS must be an integer from 1 to {limit}, got {want!r}"
-        )
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(int(want)))
 
 
 def _manifest(args: argparse.Namespace) -> Dict[str, object]:
@@ -159,39 +139,38 @@ def _replacing(path: str) -> Iterator[TextIO]:
         raise
 
 
-def _summary_path(out: str) -> str:
-    return re.sub(r"\.csv$", "", out) + ".summary.json"
+def _json_text(payload: Dict[str, object]) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: str, payload: Dict[str, object]) -> None:
-    with _replacing(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+# a table: header, key columns and one block per sector
+_Table = Tuple[Sequence[str], Sequence["np.ndarray"], List[_Block]]
+# what a command returns: its figures, and either its table or how to print
+# its report (the other is None)
+_Output = Tuple[Dict[str, object], Optional[_Table], Optional[Callable[[Dict[str, object]], str]]]
 
 
-_Table = Tuple[Sequence[str], Sequence["np.ndarray"], List[_Block], Dict[str, object]]
-
-
-def _table_command(build: Callable[[argparse.Namespace], _Table]):
-    """Turn build(args) -> (header, keys, blocks, figures) into a table
-    command: time it, write the CSV to --out under the run manifest, and
-    write the summary beside it (manifest, duration, row count and the
-    command's figures)."""
-
-    @functools.wraps(build)
-    def run(args: argparse.Namespace) -> int:
-        start = time.monotonic()
-        header, keys, blocks, figures = build(args)
-        manifest = _manifest(args)
-        rows = _write_csv(args.out, manifest, header, keys, blocks)
-        duration = time.monotonic() - start
-        _write_json(
-            _summary_path(args.out),
-            {"manifest": manifest, "duration_seconds": duration, "rows": rows, **figures},
-        )
-        return 0
-
-    return run
+def _run(args: argparse.Namespace) -> int:
+    """Run the command and publish what it returns: a table goes to --out
+    under the run manifest, with a summary beside it (manifest, duration,
+    row count and the figures); a report (manifest, duration and the
+    figures) is printed and, given --out, written there.  The duration
+    covers the table write and ends before the report is printed."""
+    clock = time.monotonic
+    start = clock()
+    figures, table, show = args.func(args)
+    manifest = _manifest(args)
+    report: Dict[str, object] = {"manifest": manifest, **figures}
+    if table is not None:
+        report["rows"] = _write_csv(args.out, manifest, *table)
+    report["duration_seconds"] = clock() - start
+    if show is not None:
+        sys.stdout.write(show(report))
+    path = args.out if table is None else re.sub(r"\.csv$", "", args.out) + ".summary.json"
+    if path:
+        with _replacing(path) as fh:
+            fh.write(_json_text(report))
+    return 0
 
 
 def _finite_float(text: str) -> float:
@@ -304,8 +283,7 @@ def _seeded_probes(count: int, seed: int):
 # ------------------------------------------------------------------ commands
 
 
-@_table_command
-def cmd_gamma_table(args: argparse.Namespace) -> _Table:
+def cmd_gamma_table(args: argparse.Namespace) -> _Output:
     sectors = _sector_range(args)
     tau_mode = not (args.tau_min is None and args.tau_max is None and args.tau_step is None)
     if tau_mode == (args.s_grid is not None):
@@ -334,11 +312,10 @@ def cmd_gamma_table(args: argparse.Namespace) -> _Table:
 
     header = ("N", "re_s", "im_s", "re_gamma", "im_gamma", "abs_gamma")
     figures = {"max_unit_modulus_error": unit_err} if tau_mode else {}
-    return header, (svals.real, svals.imag), blocks, figures
+    return figures, (header, (svals.real, svals.imag), blocks), None
 
 
-@_table_command
-def cmd_spectral_scan(args: argparse.Namespace) -> _Table:
+def cmd_spectral_scan(args: argparse.Namespace) -> _Output:
     sectors = _sector_range(args)
 
     import numpy as np
@@ -363,16 +340,15 @@ def cmd_spectral_scan(args: argparse.Namespace) -> _Table:
             max_k, max_k_at = float(abs(k[j])), (n, float(taus[j]))
         blocks.append((n, (h, k)))
 
-    return ("N", "tau", "h", "k"), (taus,), blocks, {
+    return {
         "min_h": min_h,
         "min_h_at": list(min_h_at),
         "max_abs_k": max_k,
         "max_abs_k_at": list(max_k_at),
-    }
+    }, (("N", "tau", "h", "k"), (taus,), blocks), None
 
 
-@_table_command
-def cmd_functional_eq(args: argparse.Namespace) -> _Table:
+def cmd_functional_eq(args: argparse.Namespace) -> _Output:
     sectors = _sector_range(args)
     if args.n_max > _MAX_MOMENT_N:
         raise _UsageError(
@@ -404,14 +380,13 @@ def cmd_functional_eq(args: argparse.Namespace) -> _Table:
         worst_quad.append(float(quad.max()))
 
     header = ("N", "re_s", "im_s", "funceq_residual", "quad_residual")
-    return header, (svals.real, svals.imag), blocks, {
+    return {
         "max_funceq_residual": max(worst_fe, default=None),
         "max_quad_residual": max(worst_quad, default=None),
-    }
+    }, (header, (svals.real, svals.imag), blocks), None
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
-    start = time.monotonic()
+def cmd_oracle_check(args: argparse.Namespace) -> _Output:
     if args.probes < 1:
         raise _UsageError("--probes must be at least 1")
     if args.grid_m < 3 or args.grid_m % 2 == 0:
@@ -459,21 +434,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         want = to_additive(fourier_transform(f)).evaluate_points(pts)
         per_sector[str(n)] = float(np.max(np.abs(got - want) / np.abs(want)))
 
-    payload: Dict[str, object] = {
-        "manifest": _manifest(args),
+    return {
         "self_dual_error": self_dual_error(args.grid_m),
         "self_dual_error_m_halved": self_dual_error(max(3, (args.grid_m // 2) | 1)),
         "multiplier_vs_brute": per_sector,
-    }
-    payload["duration_seconds"] = time.monotonic() - start
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        _write_json(args.out, payload)
-    return 0
+    }, None, _json_text
 
 
-@_table_command
-def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
+def cmd_trace_sweep(args: argparse.Namespace) -> _Output:
     if args.n_min < 0:
         raise _UsageError("--n-min must be >= 0")
     if args.profile_width <= 0.0:
@@ -506,37 +474,32 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Table:
         rows.append((float(r.lam), direct.real, r.trace.real, r.residual.real))
     lams, *values = np.array(rows, dtype=float).T
 
-    return ("lambda", "tr_direct", "tr_spectral", "residual"), (lams,), [(None, values)], {
+    return {
         "slope": results[-1].slope.real,
         "intercept": results[-1].intercept.real,
         "f_at_1": value_at_identity(f).real,
         "h_at_1": results[0].h_term.real,
         "max_route_discrepancy": route_gap,
-    }
+    }, (("lambda", "tr_direct", "tr_spectral", "residual"), (lams,), [(None, values)]), None
 
 
-def cmd_g_constant(args: argparse.Namespace) -> int:
-    start = time.monotonic()
+def cmd_g_constant(args: argparse.Namespace) -> _Output:
     if args.tol < 1e-10:
         raise _UsageError("--tol must be at least 1e-10")
 
     from .specfun import G_CONSTANT, gamma0_expansion
 
     c1, c2 = gamma0_expansion(order=2, tol=args.tol)
-    # (printed label, report key, value)
-    figures = [
-        ("epsilon coefficient", "epsilon_coefficient", c1),
-        ("epsilon^2 coefficient", "epsilon2_coefficient", c2),
-        ("closed form", "closed_form", G_CONSTANT),
-        ("difference", "difference", abs(c2 - G_CONSTANT)),
-    ]
-    for label, _, value in figures:
-        print(f"{label:<22} {format(value, '.17g')}")
-    if args.out:
-        report = {key: value for _, key, value in figures}
-        duration = time.monotonic() - start
-        _write_json(args.out, {"manifest": _manifest(args), "duration_seconds": duration, **report})
-    return 0
+    figures = {
+        "epsilon_coefficient": c1,
+        "epsilon2_coefficient": c2,
+        "closed_form": G_CONSTANT,
+        "difference": abs(c2 - G_CONSTANT),
+    }
+    labels = ("epsilon coefficient", "epsilon^2 coefficient", "closed form", "difference")
+    return figures, None, lambda report: "".join(
+        f"{label:<22} {report[key]:.17g}\n" for label, key in zip(labels, figures)
+    )
 
 
 # -------------------------------------------------------------------- parser
@@ -612,8 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_thread_env()
-        return args.func(args)
+        return _run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

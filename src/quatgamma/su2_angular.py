@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import jv
+from scipy.special import eval_chebyu, jv
 
 from .specfun import _pointwise
 
@@ -49,16 +49,11 @@ ArrayLike = Union[float, np.ndarray]
 
 @_pointwise(float)
 def _chebyshev_u(N: int, c: ArrayLike) -> ArrayLike:
-    """chi_N as a function of c = cos(theta): U_N(c) by the three-term
-    recurrence, stable on [-1, 1] and exact at the endpoints, where it
-    gives (+-1)^N * (N+1)."""
-    u_prev = np.ones_like(c)
-    if N == 0:
-        return u_prev
-    u = 2.0 * c
-    for _ in range(N - 1):
-        u_prev, u = u, 2.0 * c * u - u_prev
-    return u
+    """chi_N as a function of c = cos(theta): U_N(c) by scipy's
+    eval_chebyu, whose integer-order path is the three-term recurrence,
+    stable on [-1, 1] and exact at the endpoints, where it gives
+    (+-1)^N * (N+1)."""
+    return eval_chebyu(N, c)
 
 
 @_pointwise(float)

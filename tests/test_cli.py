@@ -322,8 +322,7 @@ def test_oracle_check_accuracy(tmp_path, capsys):
     assert set(report["multiplier_vs_brute"]) == {"0", "1", "2"}
     for err in report["multiplier_vs_brute"].values():
         assert err <= 1e-2
-    printed.pop("duration_seconds")
-    report.pop("duration_seconds")
+    # one report, printed and written: the same duration too
     assert printed == report
 
 
@@ -360,6 +359,23 @@ def test_oracle_check_times_every_figure(tmp_path, monkeypatch, capsys):
     assert json.loads(out.read_text(encoding="utf-8"))["duration_seconds"] == 2.0
 
 
+def test_table_duration_covers_the_csv_write(tmp_path, monkeypatch):
+    # the CSV write takes one tick of a fake clock; the summary's duration
+    # is read after it
+    ticks = [0.0]
+    write_csv = cli._write_csv
+
+    def slow_write(*args):
+        ticks[0] += 1.0
+        return write_csv(*args)
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: ticks[0]))
+    monkeypatch.setattr(cli, "_write_csv", slow_write)
+    out = tmp_path / "gs.csv"
+    assert main(["gamma-table", "--s-grid", "2x2", "--out", str(out)]) == 0
+    assert read_summary(out)["duration_seconds"] == 1.0
+
+
 def test_oracle_check_validation(tmp_path):
     assert main(["oracle-check", "--probes", "0"]) == 2
     assert main(["oracle-check", "--grid-m", "16"]) == 2
@@ -389,8 +405,12 @@ def test_oracle_check_decay_failure_exits_1(capsys):
         (["--probes", "10000000"], "--probes 10000000 at --grid-m 33 needs 3.79e+11 units of work"),
         (["--grid-m", "3", "--probes", "27100"], "(27100 x (3^3 + 2000))"),
         (["--grid-m", "209", "--probes", "7"], "the limit is 5.48e+07, 6 probes at --grid-m 209"),
+        # work exactly at the limit passes the work check and reaches the seed
+        # check; one probe more is refused for its work first
+        (["--grid-m", "209", "--probes", "6", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["--grid-m", "209", "--probes", "7", "--seed", "-1"], "the limit is 5.48e+07, 6 probes at --grid-m 209"),
     ],
-    ids=["negative-seed", "many-probes", "small-box-probes", "one-probe-over"],
+    ids=["negative-seed", "many-probes", "small-box-probes", "one-probe-over", "at-work-limit", "over-work-limit"],
 )
 def test_oracle_check_refusals_before_numpy(flags, message, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -521,7 +541,13 @@ def test_g_constant_report(tmp_path, capsys):
     assert abs(closed - 7.6603709252) <= 1e-9
     assert abs(report["epsilon2_coefficient"] - closed) <= 1e-12
     assert abs(report["epsilon_coefficient"] - 1.0) <= 1e-14
-    assert f"{closed:.17g}" in text
+    # the printed figures are the written report's, to every digit
+    assert text == (
+        f"epsilon coefficient    {report['epsilon_coefficient']:.17g}\n"
+        f"epsilon^2 coefficient  {report['epsilon2_coefficient']:.17g}\n"
+        f"closed form            {closed:.17g}\n"
+        f"difference             {report['difference']:.17g}\n"
+    )
 
 
 def test_g_constant_rerun_prints_identically(capsys):
@@ -615,20 +641,6 @@ def test_readme_figures_are_pinned(argv, name, figures, tmp_path, capsys):
     report = json.loads(out.read_text(encoding="utf-8")) if name.endswith(".json") else read_summary(out)
     del report["manifest"], report["duration_seconds"]
     _assert_figures_close(report, figures)
-
-
-@pytest.mark.parametrize("value", ["0", "abc", "-3", "1.5", "cpus+1"])
-def test_thread_count_refused(value, monkeypatch, capsys):
-    # only refused values: no run starts with them
-    if value == "cpus+1":
-        value = str((os.cpu_count() or 1) + 1)
-    for var in cli._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("QUATGAMMA_THREADS", value)
-    assert main(["g-constant"]) == 2
-    captured = capsys.readouterr()
-    assert repr(value) in captured.err and captured.out == ""
-    assert not any(var in os.environ for var in cli._THREAD_VARS)
 
 
 def test_failed_write_keeps_previous_file(tmp_path):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quatgamma.su2_angular import angular_bessel, angular_quadrature, character
+from quatgamma.su2_angular import _chebyshev_u, angular_bessel, angular_quadrature, character
 
 
 # ----------------------------------------------------------------- characters
@@ -34,6 +34,28 @@ def test_character_endpoint_limits():
     for n in range(13):
         assert character(n, 0.0) == n + 1
         assert abs(character(n, np.pi) - (-1.0) ** n * (n + 1)) <= 1e-12
+
+
+def _chebyshev_u_recurrence(n, c):
+    """U_n(c) by the three-term recurrence U_{k+1} = 2c U_k - U_{k-1}."""
+    u_prev, u = np.ones_like(c), 2.0 * c
+    if n == 0:
+        return u_prev
+    for _ in range(n - 1):
+        u_prev, u = u, 2.0 * c * u - u_prev
+    return u
+
+
+def test_chebyshev_u_is_the_recurrence_bit_for_bit():
+    # the library kernel runs the same recurrence: every bit agrees, signed
+    # zeros included, on a seeded sample of [-1, 1] and the points -1, 0, 1
+    c = np.concatenate([np.random.default_rng(3).uniform(-1.0, 1.0, 2000), [-1.0, -0.0, 0.0, 1.0]])
+    for n in range(161):
+        want = _chebyshev_u_recurrence(n, c)
+        assert np.array_equal(_chebyshev_u(n, c).view(np.int64), want.view(np.int64)), n
+    assert _chebyshev_u(160, 1.0) == 161.0 and _chebyshev_u(159, -1.0) == -160.0
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        _chebyshev_u(-1, c)
 
 
 # ----------------------------------------------------------------- quadrature
