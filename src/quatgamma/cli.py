@@ -560,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-list", default="2,4,8,16,32,64", help="comma-separated cutoffs")
     p.add_argument("--profile-width", type=_finite_float, default=1.0, help="Gaussian width in v")
     p.add_argument("--profile-scale", type=_finite_float, default=1.0, help="profile amplitude")
-    p.add_argument("--tol", type=_finite_float, default=1e-8, help="refinement tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-8, help="tolerance of both trace routes")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_trace_sweep)
 

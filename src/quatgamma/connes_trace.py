@@ -30,22 +30,22 @@ w = (N + 1) dtau / 2 pi,
 
     Tr(Lambda) = w int_{-L}^{V} (L + v) P(v) dv = w (L C0(-L) + C1(-L)).
 
-One kernel serves a whole cutoff list (_spectral_sweep): every kink is a
-panel edge, P is read at both panel widths from one profile_value call
-per factor, and two suffix sums give at each cutoff the trace, its exact
-slope w C0 -> f(1) and its exact intercept w C1 -> -H(f)(1).  G is
-band-limited to the tau-window, so fixed Gauss-Legendre panels resolve
-the product to rounding.  The other kinks of a list split a trace's
-panels, so its last bits depend on the list; reruns are byte-identical.
+K and G are trigonometric sums on one tau-lattice, so w P(v) = sum_d c_d
+e^{-i d dtau v}, d = -(n - 1) .. n - 1, and C0 and C1 are finite sums of
+closed forms (_spectral_sweep).  Each cutoff's row is the trace, its exact
+slope w C0 -> f(1) and exact intercept w C1 -> -H(f)(1), the same bits in
+any cutoff list: those of the truncated problem, whose unchecked tau-window
+tail (like tau^-2 from the kink) is the gap to the direct route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 
 from ._errors import QuadratureError, check, check_tolerance
 from ._quadrature import gauss_panels, refinement_gap
@@ -65,7 +65,7 @@ __all__ = [
 
 DEFAULT_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-# refinement tolerance: TraceConfig's and trace_direct's default, trace_spectral's value
+# tolerance: TraceConfig's and trace_direct's default, trace_spectral's value
 _TOLERANCE = 1e-8
 # nodes per panel of trace_direct's coarse pass; its fine pass has half as many again
 _DIRECT_PANEL_NODES = 16
@@ -80,8 +80,8 @@ def _check_cutoff(lam: float) -> None:
 @dataclass(frozen=True)
 class TraceConfig:
     """Sweep configuration: the profile, the cutoff list (finite, strictly
-    increasing, all above 1), and the refinement tolerance (finite, at
-    least 0)."""
+    increasing, all above 1), and the tolerance of the spectral sum's
+    rounding estimate (finite, at least 0)."""
 
     f: IsotypicFunction
     lambdas: Tuple[float, ...] = DEFAULT_LAMBDAS
@@ -183,29 +183,13 @@ def trace_direct(
 # ---------------------------------------------------------- spectral route
 
 
-def _kink_rule(kinks: np.ndarray, top: float, width: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights from the lowest kink to top, on equal panels
-    at most width wide between consecutive edges, every kink an edge."""
-    stops = sorted(set(kinks)) + [top]
-    spans = zip(stops, stops[1:])
-    pieces = [np.linspace(a, b, math.ceil((b - a) / width), endpoint=False) for a, b in spans]
-    return gauss_panels(np.concatenate(pieces + [[top]]), 32)
-
-
-def _kink_moments(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray, kinks: np.ndarray) -> np.ndarray:
-    """Rows (w C0, w C1) from each kink up to the top node, w P = p at the nodes."""
-    p = p * weights
-    vp = nodes * p
-    return np.array([(np.sum(p[i:]), np.sum(vp[i:])) for i in np.searchsorted(nodes, kinks)])
-
-
 def _spectral_sweep(f: IsotypicFunction, lambdas: Sequence[float], tol: float) -> np.ndarray:
-    """Rows (Tr, w C0, w C1) at the cutoffs in lambdas' order.  The weight
+    """Rows (Tr, w C0, w C1) at the cutoffs in lambdas' order; the weight
     vanishes at the kink, so dTr/dL = w C0(-L) and Tr - L dTr/dL = w C1(-L)
-    exactly.  P is evaluated at both panel widths, 1.0 and 0.5, from one
-    profile_value call per factor, whatever the number of cutoffs; the
-    widths must agree within tol on all three numbers, else the first
-    failing cutoff is named."""
+    exactly.  One FFT serves every cutoff, and each row is one complex
+    exponential and four products summed, the same bits in any list.  A trace's
+    rounding estimate, 2^-53 times the sum of its terms' magnitudes over
+    max(1, |Tr|), must be within tol, else the first failing cutoff is named."""
     v_half = f.v_half_width
     two_logs = []
     for lam in lambdas:
@@ -217,36 +201,48 @@ def _spectral_sweep(f: IsotypicFunction, lambdas: Sequence[float], tol: float) -
                 f"window [-{v_half:g}, {v_half:g}]; cutoffs must stay below e^{v_half / 2:g}"
             )
         two_logs.append(two_log)
-    L = np.array(two_logs)
-    kinks = -L
-    # Gamma^{-1} I f and the multiplier itself, from one read of gamma_N
-    gamma = gamma_multiplier(f.N, f.spectral_profile.grid)
-    psi = replace(f.spectral_profile, samples=np.conjugate(gamma) * f.spectral_profile.samples[::-1])
-    gamma_prof = replace(f.spectral_profile, samples=gamma)
-    rules = [_kink_rule(kinks, v_half, width) for width in (1.0, 0.5)]
-    nodes = np.concatenate([v for v, _ in rules])
-    # w G(v) = (N + 1) profile_value(gamma_prof, -v)
-    p = (f.N + 1) * profile_value(psi, nodes) * profile_value(gamma_prof, -nodes)
+    psi = f.spectral_profile
+    n = len(psi.samples)
+    gamma = gamma_multiplier(f.N, psi.grid)
+    # c_d = (N + 1) (dtau / 2 pi)^2 sum_j psi1[j + d] gamma_N[j], psi1 = Gamma^{-1} I f, by FFT
+    c = fft(np.conjugate(gamma) * psi.samples[::-1], next_fast_len(2 * n - 1))
+    c *= fft(gamma[::-1], len(c))
+    c = ifft(c, overwrite_x=True)[: 2 * n - 1] * ((f.N + 1) * (psi.spacing / (2.0 * np.pi)) ** 2)
+    # d > 0 paired with -d over omega_d = -omega_{-d}, conjugated at d < 0
+    omega = psi.spacing * np.arange(1, n)
+    c_zero, c_pos, c_neg = c[n - 1], c[n:] / omega, np.conjugate(c[n - 2 :: -1]) / omega
+
+    def sums(e: np.ndarray) -> Tuple[complex, complex]:
+        # sum_{d != 0} c_d e_d / omega_d and / omega_d^2, e_{-d} = conj e_d; np.sum adds pairwise
+        e_over = e / omega
+        p1, p2, q1, q2 = (np.sum(a * b) for a in (c_pos, c_neg) for b in (e, e_over))
+        return p1 - np.conjugate(q1), p2 + np.conjugate(q2)
+
+    top1, top2 = sums(np.exp(-1j * v_half * omega))  # the upper limit's terms
+    mags = np.abs(c_pos) + np.abs(c_neg)  # of the sums' terms, as |e_d| = 1
+    mag1, mag2 = np.sum(mags), np.sum(mags / omega)
     rows = []
-    for (v, wt), p_width in zip(rules, np.split(p, [len(rules[0][0])])):
-        c0, c1 = _kink_moments(v, wt, p_width, kinks).T
-        rows.append(np.stack([L * c0 + c1, c0, c1], axis=1))
-    coarse, fine = rows
-    for lam, c, row in zip(lambdas, coarse, fine):
-        stage = f"trace_spectral at cutoff {lam}: above-kink panel widths 1.0 and 0.5"
-        check(QuadratureError, stage, refinement_gap(row, c), tol)
-    return fine
+    for lam, L in zip(lambdas, two_logs):
+        # antiderivatives i e^{-i omega v} / omega and e^{-i omega v} (i v / omega + 1 / omega^2)
+        low1, low2 = sums(np.exp(1j * L * omega))
+        span = v_half + L
+        c0 = c_zero * span + 1j * (top1 - low1)
+        c1 = c_zero * span * (v_half - L) / 2.0 + 1j * (v_half * top1 + L * low1) + top2 - low2
+        tr = c_zero * span * span / 2.0 + 1j * span * top1 + top2 - low2
+        terms = abs(c_zero) * span * span / 2.0 + span * mag1 + 2.0 * mag2
+        stage = f"trace_spectral at cutoff {lam}: rounding of the closed-form sum"
+        check(QuadratureError, stage, 2.0**-53 * terms / max(1.0, abs(tr)), tol)
+        rows.append((tr, c0, c1))
+    return np.array(rows)
 
 
 def trace_spectral(f: IsotypicFunction, lam: float) -> complex:
     """Trace through Gamma max(2 log Lambda + A, 0) Gamma^{-1} applied to
     the inverted profile, read off at the identity: the one-cutoff case
-    of _spectral_sweep.  Two panel widths must agree within 1e-8
-    (residual_sweep takes its tolerance from TraceConfig); a cutoff
-    of e^{V/2} or more puts the kink outside the log window and is
-    refused.  In a sweep the other kinks split the panels, so a trace
-    from residual_sweep can differ from this one in its last bits
-    (measured <= 4e-16 relative); reruns are byte-identical."""
+    of _spectral_sweep, equal bit for bit to that cutoff's trace in any
+    sweep.  Its rounding estimate must be within 1e-8 (residual_sweep
+    takes its tolerance from TraceConfig); a cutoff of e^{V/2} or more
+    puts the kink outside the log window and is refused."""
     return complex(_spectral_sweep(f, (lam,), _TOLERANCE)[0, 0])
 
 
@@ -282,5 +278,6 @@ def fit_trace_expansion(
         raise ValueError("need at least two cutoffs at or above min_lambda")
     x = np.array([2.0 * math.log(r.lam) for r in kept])
     y = np.array([r.trace.real for r in kept])
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept)
+    # the normal equations in closed form: np.polyfit's LAPACK call pages in ~1 MB of code
+    slope = float(np.sum((x - np.mean(x)) * y) / np.sum((x - np.mean(x)) ** 2))
+    return slope, float(np.mean(y) - slope * np.mean(x))

@@ -481,8 +481,8 @@ def test_trace_sweep_validation(tmp_path):
 
 
 def test_trace_sweep_numerical_failure_exits_1(tmp_path, capsys):
-    # the two above-kink panel widths agree to about 1e-15, far above
-    # tol = 1e-300, so the self-check trips and nothing is written
+    # the closed-form sum's rounding estimate at cutoff 2 is 2.4e-15, far
+    # above tol = 1e-300, so the self-check trips and nothing is written
     out = tmp_path / "t.csv"
     assert main(["trace-sweep", "--lambda-list", "2,4", "--tol", "1e-300", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("numerical failure: trace_spectral at cutoff 2.0: ")

@@ -122,12 +122,18 @@ def test_nan_on_the_4d_boundary_is_a_decay_error():
 
 
 def test_nan_kernel_fails_both_trace_routes(standard, monkeypatch):
+    # each route's own kernel: the direct route reads K off the grid by
+    # profile_value, the spectral route sums against gamma_N
     def nan_profile(psi, v):
         return np.full(np.shape(v), complex(math.nan, math.nan))
+
+    def nan_multiplier(n, tau):
+        return np.full(np.shape(tau), complex(math.nan, math.nan))
 
     monkeypatch.setattr(connes_trace, "profile_value", nan_profile)
     with pytest.raises(QuadratureError, match="^trace_direct at cutoff 2.0: .* estimate nan "):
         trace_direct(standard, 2.0)
+    monkeypatch.setattr(connes_trace, "gamma_multiplier", nan_multiplier)
     with pytest.raises(QuadratureError, match="^trace_spectral at cutoff 2.0: .* estimate nan "):
         trace_spectral(standard, 2.0)
 
@@ -210,7 +216,7 @@ GUARDS = [
     ("trace_direct", QuadratureError, _direct_two_nodes,
      "trace_direct at cutoff 8.0: refinements at 2 and 3 nodes per panel"),
     ("trace_spectral", QuadratureError, _spectral_zero_tolerance,
-     "trace_spectral at cutoff 4.0: above-kink panel widths 1.0 and 0.5"),
+     "trace_spectral at cutoff 4.0: rounding of the closed-form sum"),
     ("radial_fourier", QuadratureError, _radial_zero_tolerance,
      "radial_fourier: refinements at 128 and 256 nodes"),
     ("gamma0_expansion", NonConvergenceError, _gamma0_tiny_tolerance,
