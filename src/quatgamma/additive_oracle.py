@@ -43,7 +43,6 @@ from .spectral_line import profile_value
 from .su2_angular import _chebyshev_u, angular_bessel, angular_quadrature
 
 __all__ = [
-    "G_CONSTANT",
     "Grid4D",
     "GridFunction",
     "brute_fourier",
@@ -207,12 +206,12 @@ def isotypic_grid_function(grid: Grid4D, f: IsotypicFunction) -> GridFunction:
     spline = CubicSpline(k.grid, k.samples)
     x0, n, orbit = _central_orbits(grid)
     table = np.zeros(n.shape, dtype=complex)
-    nz = n > 0.0
-    v = np.empty_like(n)
-    v[nz] = 2.0 * np.log(n[nz])
-    inside = nz & (np.abs(np.where(nz, v, 0.0)) <= k.half_width)
-    cos_theta = x0[inside] / np.sqrt(n[inside])
-    table[inside] = _chebyshev_u(f.N, cos_theta) * spline(v[inside]) / (SQRT_2PI2 * n[inside])
+    # the origin's v = -inf lies outside every window
+    with np.errstate(divide="ignore"):
+        v = 2.0 * np.log(n)
+    inside = np.abs(v) <= k.half_width
+    n = n[inside]
+    table[inside] = _chebyshev_u(f.N, x0[inside] / np.sqrt(n)) * spline(v[inside]) / (SQRT_2PI2 * n)
     return GridFunction(grid, table, orbit)
 
 

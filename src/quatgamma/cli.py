@@ -47,10 +47,11 @@ if TYPE_CHECKING:
 _MAX_TABLE_ROWS = 1_000_000
 
 # largest oracle-check box, M = 209: the command's tracemalloc peak is about
-# 70 bytes per M^3 (orbit indices, (x0, s) tables and the sampler's temporaries
-# on them), 0.64 GB at M = 209, within the 0.65 GB of 67^4 points at 32 bytes
+# 63 bytes per M^3 (orbit indices, (x0, s) tables and the sampler's temporaries
+# on them; 62.3 measured at M = 129 and 161), 0.58 GB at M = 209, within the
+# 0.65 GB of 67^4 points at 32 bytes
 _MAX_ORACLE_GRID_M = 209
-_ORACLE_BYTES_PER_CUBE = 70
+_ORACLE_BYTES_PER_CUBE = 63
 
 # largest oracle-check work, probes x (M^3 + 2000): a probe's transform took 12 ns
 # per offset plus 22 us (one thread, 2-vCPU Xeon); 6 probes at the largest box

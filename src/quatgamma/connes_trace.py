@@ -69,6 +69,8 @@ DEFAULT_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 _TOLERANCE = 1e-8
 # nodes per panel of trace_direct's coarse pass; its fine pass has half as many again
 _DIRECT_PANEL_NODES = 16
+# fit_trace_expansion fits the cutoffs from this one up
+_FIT_MIN_LAMBDA = 8.0
 
 
 def _check_cutoff(lam: float) -> None:
@@ -267,15 +269,13 @@ def residual_sweep(config: TraceConfig) -> List[TraceResult]:
     return results
 
 
-def fit_trace_expansion(
-    results: Sequence[TraceResult], min_lambda: float = 8.0
-) -> Tuple[float, float]:
+def fit_trace_expansion(results: Sequence[TraceResult]) -> Tuple[float, float]:
     """Least-squares line trace ~ slope * 2 log(Lambda) + intercept over
-    the cutoffs at or above min_lambda.  For a well-resolved profile the
-    slope recovers f(1) and the intercept recovers -H(f)(1)."""
-    kept = [r for r in results if r.lam >= min_lambda]
+    the cutoffs at or above _FIT_MIN_LAMBDA = 8.  For a well-resolved
+    profile the slope recovers f(1) and the intercept recovers -H(f)(1)."""
+    kept = [r for r in results if r.lam >= _FIT_MIN_LAMBDA]
     if len(kept) < 2:
-        raise ValueError("need at least two cutoffs at or above min_lambda")
+        raise ValueError(f"need at least two cutoffs at or above {_FIT_MIN_LAMBDA:g}")
     x = np.array([2.0 * math.log(r.lam) for r in kept])
     y = np.array([r.trace.real for r in kept])
     # the normal equations in closed form: np.polyfit's LAPACK call pages in ~1 MB of code

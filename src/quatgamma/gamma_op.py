@@ -33,14 +33,7 @@ import numpy as np
 
 from .quat_core import _Points, _as_points
 from .specfun import gamma_multiplier, h_multiplier, k_multiplier
-from .spectral_line import (
-    Profile,
-    check_spectral,
-    evaluate_at_one,
-    from_spectral,
-    profile_value,
-    to_spectral,
-)
+from .spectral_line import Profile, check_spectral, from_spectral, profile_value, to_spectral
 from .su2_angular import _chebyshev_u
 
 __all__ = [
@@ -97,18 +90,15 @@ class IsotypicFunction:
         return from_spectral(self.spectral_profile, self.v_spacing, self.v_half_width)
 
 
-def gaussian_isotypic(
-    N: int = 0, center: float = 0.0, width: float = 1.0
-) -> IsotypicFunction:
-    """The standard test function: K(v) = e^{-(v-center)^2/(2 width^2)}."""
-    return IsotypicFunction.from_log_function(
-        N, lambda v: np.exp(-0.5 * ((v - center) / width) ** 2)
-    )
+def gaussian_isotypic(N: int) -> IsotypicFunction:
+    """The standard test function: K(v) = e^{-v^2/2}."""
+    return IsotypicFunction.from_log_function(N, lambda v: np.exp(-0.5 * v**2))
 
 
 def value_at_identity(f: IsotypicFunction) -> complex:
-    """f(1) = chi_N(0) * K(0) = (N+1) * K(0)."""
-    return (f.N + 1) * evaluate_at_one(f.spectral_profile)
+    """f(1) = chi_N(0) * K(0) = (N+1) * K(0), with K(0) = (1/2pi) int psi dtau."""
+    psi = f.spectral_profile
+    return (f.N + 1) * complex(psi.spacing / (2.0 * np.pi) * np.sum(psi.samples))
 
 
 # ------------------------------------------------------------------ operators
@@ -191,11 +181,6 @@ class AdditiveFunction:
             k_vals[inside] = profile_value(self.source.spectral_profile, v[inside])
         # outside the window the profile is below the decay guard: treat as 0
         return _chebyshev_u(self.source.N, pts[:, 0] / np.sqrt(n)) * k_vals / (SQRT_2PI2 * n)
-
-    def __call__(self, x: _Points) -> complex:
-        """Evaluate at one point."""
-        (value,) = self.evaluate_points(x)
-        return complex(value)
 
 
 def to_additive(f: IsotypicFunction) -> AdditiveFunction:

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -62,7 +62,6 @@ __all__ = [
     "to_spectral",
     "from_spectral",
     "check_spectral",
-    "evaluate_at_one",
     "profile_value",
 ]
 
@@ -201,15 +200,7 @@ def from_spectral(psi: Profile, spacing: float, half_width: float) -> Profile:
 # -------------------------------------------------------------- evaluation
 
 
-def evaluate_at_one(psi: Profile) -> complex:
-    """Value of the underlying function at the identity:
-    K(0) = (1/2pi) int psi(tau) dtau."""
-    return complex(psi.spacing / (2.0 * np.pi) * np.sum(psi.samples))
-
-
-def profile_value(
-    psi: Profile, v: Union[float, np.ndarray]
-) -> Union[complex, np.ndarray]:
+def profile_value(psi: Profile, v: np.ndarray) -> np.ndarray:
     """K(v) = (spacing / 2 pi) sum_k psi_k e^{-i tau_k v} at arbitrary v
     (trigonometric interpolation off the grid; periodic in v with period
     2 pi / spacing).
@@ -217,8 +208,8 @@ def profile_value(
     Evaluated as a type-2 NUFFT by Gaussian gridding with the fixed
     oversampling _NUFFT_OVERSAMPLING and spread half-width
     _NUFFT_HALF_WIDTH (see the module docstring for the error it meets).
-    A scalar v gives a complex, an array v an array of its shape; a
-    non-finite v raises ValueError.
+    The result has v's shape (a 0-d v gives a 0-d array); a non-finite v
+    raises ValueError.
     """
     v_arr = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v_arr)):
@@ -250,6 +241,4 @@ def profile_value(
         for offset in range(1 - w, w + 1):
             weight = np.exp(-(0.75 * np.pi / w) * (frac - offset) ** 2)
             block += weight * gridded.take(base + offset, mode="wrap")
-    if v_arr.ndim == 0:
-        return complex(out[0])
     return out.reshape(v_arr.shape)

@@ -9,6 +9,7 @@ module test suites pin the same quantities far tighter.
 import math
 import time
 
+import hecke
 import numpy as np
 import pytest
 
@@ -32,6 +33,7 @@ from quatgamma.connes_trace import (
 )
 from quatgamma.gamma_op import (
     IsotypicFunction,
+    fourier_transform,
     gaussian_isotypic,
     gamma_transform,
     inversion,
@@ -136,6 +138,27 @@ def test_criterion_04_multiplier_vs_oracle(capsys):
     verdict(capsys, 4, "multiplier vs oracle", ok, f"max rel {worst:.3e}; {elapsed:.1f}s of 300s")
     assert worst <= 1e-2
     assert elapsed <= 300.0
+    # Hecke's eigenfunctions, F(Phi_N) = i^N Phi_N: normwise errors against
+    # the closed form, which tests gamma_N only on |tau| up to about 10-20;
+    # the narrow Gaussian above keeps the wide band
+    box, probes = Grid4D(2.5, 41), _seeded_probes(6, 7, 0.4, 0.9)
+    box_err, route_err = {}, 0.0
+    for n in (0, 1, 2, 5, 10):
+        want = 1j**n * hecke.values(n, probes)
+        scale = np.max(np.abs(want))
+        got = brute_fourier(hecke.grid_function(n, box), probes)
+        box_err[n] = float(np.max(np.abs(got - want)) / scale)
+        route = to_additive(fourier_transform(hecke.isotypic(n))).evaluate_points(probes)
+        route_err = max(route_err, float(np.max(np.abs(route - want)) / scale))
+    low = max(box_err[n] for n in (0, 1, 2, 5))
+    ok = low <= 2e-14 and box_err[10] <= 2e-11 and route_err <= 2e-14
+    verdict(
+        capsys, 4, "Hecke eigenfunctions", ok,
+        f"4D sum {low:.3e} (N <= 5), {box_err[10]:.3e} (N = 10); multiplier route {route_err:.3e}",
+    )
+    assert low <= 2e-14
+    assert box_err[10] <= 2e-11
+    assert route_err <= 2e-14
 
 
 def test_criterion_05_spectral_derivatives(capsys):

@@ -15,6 +15,7 @@ Closed-form anchors used here:
 import math
 import tracemalloc
 
+import hecke
 import mpmath
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ import pytest
 from quatgamma import DecayError, QuadratureError, _quadrature, additive_oracle, cli, specfun
 from quatgamma._quadrature import gauss_panels
 from quatgamma.additive_oracle import (
-    G_CONSTANT,
     Grid4D,
     GridFunction,
     brute_fourier,
@@ -40,6 +40,7 @@ from quatgamma.additive_oracle import (
 from quatgamma.gamma_op import (
     SQRT_2PI2,
     IsotypicFunction,
+    fourier_transform,
     gamma_transform,
     gaussian_isotypic,
     inversion,
@@ -48,8 +49,7 @@ from quatgamma.gamma_op import (
     to_additive,
     value_at_identity,
 )
-from quatgamma.quat_core import Quaternion
-from quatgamma.specfun import gamma_factor, gamma_log_derivative
+from quatgamma.specfun import G_CONSTANT, gamma_factor, gamma_log_derivative
 from quatgamma.spectral_line import profile_value
 from quatgamma.su2_angular import _chebyshev_u, character
 
@@ -63,7 +63,7 @@ def seeded_probes(k, lo, hi, seed):
     pts = rng.normal(size=(k, 4))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     pts *= (lo + (hi - lo) * rng.random(k))[:, None]
-    return [Quaternion(*p) for p in pts]
+    return pts
 
 
 def _isotypic_grid_function_direct(grid, f):
@@ -107,7 +107,7 @@ def _brute_fourier_direct(phi, probes):
     values = _expand(phi)
     out = np.empty(len(probes), dtype=complex)
     for i, probe in enumerate(probes):
-        y = np.asarray(probe.coords if isinstance(probe, Quaternion) else probe, dtype=float)
+        y = np.asarray(probe, dtype=float)
         acc = values
         for sign, yc in zip(signs, y):
             phase = np.exp(4j * np.pi * sign * yc * ax)
@@ -240,12 +240,12 @@ def test_omega_grid_values(box, omega_sampled):
 def test_brute_omega_self_dual(omega_sampled):
     probes = seeded_probes(10, 0.2, 1.0, seed=101)
     got = brute_fourier(omega_sampled, probes)
-    want = omega_exact(np.array([p.coords for p in probes]))
+    want = omega_exact(probes)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-3
 
 
 def test_brute_omega_total_mass(omega_sampled):
-    got = brute_fourier(omega_sampled, [Quaternion(0.0)])[0]
+    got = brute_fourier(omega_sampled, [[0.0, 0.0, 0.0, 0.0]])[0]
     assert abs(got - 1.0) < 1e-4
 
 
@@ -263,7 +263,7 @@ def test_brute_scaling_oracle(box):
         box, lambda pts: np.exp(-2.0 * np.pi * t * np.sum(pts * pts, axis=1))
     )
     got = brute_fourier(scaled, probes)
-    n = np.sum(np.array([p.coords for p in probes]) ** 2, axis=1)
+    n = np.sum(probes**2, axis=1)
     want = np.exp(-2.0 * np.pi * n / t) / t**2
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
@@ -296,9 +296,9 @@ def test_brute_matches_tensordot_chain(box, sample):
 
 def test_brute_stacked_probes_match_per_probe_loop(box):
     phi = _damped_random_samples(box, seed=41)
-    quats = seeded_probes(6, 0.1, 1.2, seed=43)
-    seqs = [list(p.coords) for p in quats]
-    cases = [quats, seqs, np.array(seqs), quats[:1], seqs[2:3]]
+    rows = seeded_probes(6, 0.1, 1.2, seed=43)
+    seqs = rows.tolist()
+    cases = [rows, seqs, list(rows), rows[:1], seqs[2:3]]
     for probes in cases:
         got = brute_fourier(phi, probes)
         want = np.array([brute_fourier(phi, [p])[0] for p in probes])
@@ -324,7 +324,7 @@ def test_brute_linearity_and_conjugate_symmetry(box):
     fa, fb, fc = (brute_fourier(g, probes) for g in (a, b, combo))
     assert np.max(np.abs(fc - 0.7 * fa - (2.0 - 0.5j) * fb)) < 1e-12
 
-    mirrored = [Quaternion(*(-np.asarray(p.coords))) for p in probes]
+    mirrored = -probes
     f_conj = brute_fourier(GridFunction(box, np.conj(a.table), a.orbit), probes)
     assert np.max(np.abs(f_conj - np.conj(brute_fourier(a, mirrored)))) < 1e-12
 
@@ -333,9 +333,9 @@ def test_brute_linearity_and_conjugate_symmetry(box):
 
 
 def test_radial_gaussian_self_dual():
-    probes = seeded_probes(8, 0.0, 1.0, seed=61) + [Quaternion(0.0)]
+    probes = np.vstack([seeded_probes(8, 0.0, 1.0, seed=61), np.zeros(4)])
     got = radial_fourier(0, lambda r: np.exp(-2.0 * np.pi * r**2), probes)
-    want = omega_exact(np.array([p.coords for p in probes]))
+    want = omega_exact(probes)
     assert np.max(np.abs(got - want)) < 1e-6
 
 
@@ -420,6 +420,21 @@ def test_g_of_gaussian_closed_form():
     want = 2.0 * math.log(2.0 * math.pi) + 2.0 * np.euler_gamma - 2.0
     assert want == pytest.approx(G_CONSTANT / 2.0 - 1.0, abs=1e-15)
     assert abs(distribution_G(omega_exact) - want) < 1e-12
+
+
+def test_g_resolves_an_oscillating_radial_function():
+    # phi = n e^{-n/16} cos(3 r), r = sqrt(n), vanishes at 0, so G(phi) =
+    # int_0^inf 4 r e^{-r^2/16} cos(3 r) dr = 32 (1 - 12 F(6)), F Dawson's
+    # integral.  Its cycles, out to r ~ 20, need the outer panels at most
+    # 2 wide in u: measured 1.9e-14, and 8.5e-12 with one panel in five dropped
+    def phi(pts):
+        n = np.sum(pts * pts, axis=1)
+        return n * np.exp(-n / 16.0) * np.cos(3.0 * np.sqrt(n))
+
+    with mpmath.workdps(30):
+        dawson = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-36) * mpmath.erfi(6)
+        want = float(32 * (1 - 12 * dawson))
+    assert abs(distribution_G(phi) - want) <= 2e-13
 
 
 def test_g_two_resolutions_agree():
@@ -786,10 +801,26 @@ def test_multiplier_route_matches_brute_transform(box):
     sampled = isotypic_grid_function(box, inversion(f))
     probes = seeded_probes(5, 0.4, 0.9, seed=900)
     got = brute_fourier(sampled, probes)
-    want = to_additive(gamma_transform(f)).evaluate_points(
-        np.array([p.coords for p in probes], dtype=float)
-    )
+    want = to_additive(gamma_transform(f)).evaluate_points(probes)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-2
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 10])
+def test_hecke_eigenfunctions(N):
+    """F(Phi_N) = i^N Phi_N by the 4D sum and by the multiplier route,
+    normwise at the seed-7 probes on the M = 41, L = 2.5 box.  Measured:
+    the 4D sum 1.7e-16 to 1.9e-15 for N <= 5 and 1.9e-12 at N = 10 (the
+    box), the multiplier route 1.3e-16 to 3.2e-15; each other fourth root
+    of unity is 1.4 or more off."""
+    probes = cli._seeded_probes(6, 7)
+    want = 1j**N * hecke.values(N, probes)
+    brute = brute_fourier(hecke.grid_function(N, Grid4D(2.5, 41)), probes)
+    route = to_additive(fourier_transform(hecke.isotypic(N))).evaluate_points(probes)
+    scale = np.max(np.abs(want))
+    box_bound = 2e-14 if N <= 5 else 2e-11
+    assert np.max(np.abs(brute - want)) <= box_bound * scale
+    assert np.max(np.abs(route - want)) <= 2e-14 * scale
+    assert np.max(np.abs(route - brute)) <= box_bound * scale
 
 
 def _pin_profile(N, centre=-0.3, width=0.3, v_half_width=16.0):

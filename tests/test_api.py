@@ -42,7 +42,6 @@ DEFAULTED_PARAMETERS = {
     ),
     "quatgamma.connes_trace.TraceConfig.__init__": ("lambdas", "tolerance"),
     "quatgamma.connes_trace.trace_direct": ("tol", "v_min"),
-    "quatgamma.connes_trace.fit_trace_expansion": ("min_lambda",),
     "quatgamma.gamma_op.IsotypicFunction.from_log_function": (
         "v_spacing",
         "v_half_width",
@@ -50,8 +49,6 @@ DEFAULTED_PARAMETERS = {
         "tau_half_width",
     ),
     "quatgamma.gamma_op.IsotypicFunction.__init__": ("v_spacing", "v_half_width"),
-    "quatgamma.gamma_op.gaussian_isotypic": ("N", "center", "width"),
-    "quatgamma.quat_core.Quaternion.__init__": ("x1", "x2", "x3"),
     "quatgamma.specfun.gamma0_expansion": ("tol",),
 }
 
@@ -80,4 +77,4 @@ def test_defaulted_parameters_are_pinned():
     for name in MODULES:
         found.update(_defaulted_parameters(importlib.import_module(name)))
     assert found == DEFAULTED_PARAMETERS
-    assert sum(len(names) for names in found.values()) == 26
+    assert sum(len(names) for names in found.values()) == 19

@@ -592,20 +592,20 @@ def test_spectral_refuses_kink_outside_window(standard, log_lam):
 
 
 def test_fit_needs_two_points(sweep):
-    with pytest.raises(ValueError):
-        fit_trace_expansion(sweep, min_lambda=100.0)
-    with pytest.raises(ValueError):
-        fit_trace_expansion([sweep[0]], min_lambda=1.5)
+    # the fit keeps the cutoffs from 8 up: none of 2 and 4, one of 4 and 8
+    for few in ([r for r in sweep if r.lam < 8.0], [r for r in sweep if r.lam in (4.0, 8.0)]):
+        with pytest.raises(ValueError, match="at least two cutoffs at or above 8"):
+            fit_trace_expansion(few)
 
 
 def test_fit_keeps_min_lambda_and_fits_two_points():
     # traces exactly on 1.5 * 2 log(Lambda) - 0.25: of 4, 8 and 16 the
-    # cutoff 8 equals min_lambda and is kept, and two cutoffs are a fit
+    # cutoff 8 is the fit's least and is kept, and two cutoffs are a fit
     def on_line(lam):
         trace = complex(1.5 * 2.0 * math.log(lam) - 0.25)
         return TraceResult(lam, trace, 0j, 0j, 0j, 0j, 0j)
 
-    slope, intercept = fit_trace_expansion([on_line(lam) for lam in (4.0, 8.0, 16.0)], min_lambda=8.0)
+    slope, intercept = fit_trace_expansion([on_line(lam) for lam in (4.0, 8.0, 16.0)])
     assert abs(slope - 1.5) <= 1e-13 and abs(intercept + 0.25) <= 1e-13
 
 

@@ -6,10 +6,9 @@ shapes included), N < 0 raises one message, a point that is not finite
 raises one message naming the kernel, and an array call is elementwise
 the scalar calls, bit for bit.
 
-4D points: evaluate_points, brute_fourier and radial_fourier take a
-Quaternion, one row of four, a list of rows or of Quaternions, an (n, 4)
-array or [], and raise ValueError on rows of any other length and on a
-coordinate that is not finite.
+4D points: evaluate_points, brute_fourier and radial_fourier take one row
+of four, a list of rows, an (n, 4) array or [], and raise ValueError on
+rows of any other length and on a coordinate that is not finite.
 """
 
 import math
@@ -29,8 +28,7 @@ from quatgamma.additive_oracle import (
     omega_grid_function,
     radial_fourier,
 )
-from quatgamma.gamma_op import gaussian_isotypic, to_additive
-from quatgamma.quat_core import Quaternion
+from quatgamma.gamma_op import IsotypicFunction, gaussian_isotypic, to_additive
 from quatgamma.specfun import (
     digamma,
     gamma_factor,
@@ -136,7 +134,10 @@ def test_array_call_is_the_scalar_calls(name, kernel, n_max, domain, kind):
 
 _PROBES = np.array([[0.3, -0.2, 0.1, 0.4], [0.0, 0.5, 0.0, 0.0], [-0.6, 0.1, 0.2, -0.1]])
 _POINT_ROUTINES = {
-    "evaluate_points": to_additive(gaussian_isotypic(1, center=0.2)).evaluate_points,
+    # K(v) = e^{-(v - 0.2)^2 / 2}, off-centre
+    "evaluate_points": to_additive(
+        IsotypicFunction.from_log_function(1, lambda v: np.exp(-0.5 * (v - 0.2) ** 2))
+    ).evaluate_points,
     "brute_fourier": lambda pts: brute_fourier(omega_grid_function(Grid4D(2.0, 9)), pts),
     "radial_fourier": lambda pts: radial_fourier(2, lambda r: np.exp(-2.0 * np.pi * r * r), pts),
 }
@@ -148,14 +149,13 @@ def test_points_accept_every_form(routine):
     want = fn(_PROBES)
     assert want.shape == (3,)
     rows = _PROBES.tolist()
-    quats = [Quaternion(*row) for row in rows]
-    for form in (rows, quats, [quats[0], rows[1], quats[2]]):
+    for form in (rows, list(_PROBES), [rows[0], _PROBES[1], rows[2]]):
         assert np.array_equal(fn(form), want)
     # one point: the same value by any form; radial_fourier's node count
     # follows its probes, so only closely that of the three-point call
-    single = fn(quats[0])
+    single = fn(rows[0])
     assert single.shape == (1,) and abs(single[0] - want[0]) <= 1e-12
-    for one in (rows[0], _PROBES[0]):
+    for one in (_PROBES[0], [rows[0]], _PROBES[:1]):
         assert np.array_equal(fn(one), single)
     empty = fn([])
     assert empty.shape == (0,)
@@ -176,16 +176,9 @@ def test_points_refuse_non_finite_coordinates(routine, bad):
     fn = _POINT_ROUTINES[routine]
     pts = _PROBES.copy()
     pts[1, 2] = bad
-    for form in (pts, pts[1], pts.tolist(), Quaternion(*pts[1])):
+    for form in (pts, pts[1], pts.tolist(), pts[1].tolist()):
         with pytest.raises(ValueError, match="^points must be finite$"):
             fn(form)
-
-
-def test_additive_call_reads_one_point():
-    phi = to_additive(gaussian_isotypic(1, center=0.2))
-    assert phi(_PROBES[0]) == phi(Quaternion(*_PROBES[0])) == phi.evaluate_points(_PROBES)[0]
-    with pytest.raises(ValueError):
-        phi(_PROBES)
 
 
 def test_negative_mode_raises_on_the_cosine_routes():

@@ -27,7 +27,6 @@ from quatgamma.gamma_op import (
     to_additive,
     value_at_identity,
 )
-from quatgamma.quat_core import Quaternion
 from quatgamma.specfun import gamma_multiplier
 from quatgamma.su2_angular import character
 
@@ -47,6 +46,12 @@ def gamma_inverse(f):
     return replace(f, spectral_profile=replace(psi, samples=m * psi.samples))
 
 
+def shifted_gaussian(N, center=0.0, width=1.0):
+    """K(v) = e^{-(v - center)^2 / (2 width^2)}: gaussian_isotypic moved
+    and widened, so that the identities meet an uneven profile."""
+    return IsotypicFunction.from_log_function(N, lambda v: np.exp(-0.5 * ((v - center) / width) ** 2))
+
+
 def omega_isotypic():
     """The self-dual Gaussian e^{-2 pi n(x)} in multiplicative form:
     N = 0, K(v) = sqrt(2 pi^2) e^{v/2} e^{-2 pi e^{v/2}} (u = |x|, so the
@@ -64,7 +69,7 @@ def test_gaussian_isotypic_value_at_identity():
 
 
 def test_from_spectral_profile_roundtrip():
-    f = gaussian_isotypic(2, center=0.3)
+    f = shifted_gaussian(2, center=0.3)
     g = IsotypicFunction(2, f.spectral_profile)
     samples = np.exp(-0.5 * (g.log_profile.grid - 0.3) ** 2)
     assert np.max(np.abs(k_of(g) - samples)) < 1e-12
@@ -105,14 +110,14 @@ def test_log_profile_is_derived_only_when_read(monkeypatch):
 
 
 def test_inversion_is_involution():
-    f = gaussian_isotypic(1, center=0.8, width=1.2)
+    f = shifted_gaussian(1, center=0.8, width=1.2)
     g = inversion(inversion(f))
     assert np.array_equal(psi_of(g), psi_of(f))
     assert np.array_equal(k_of(g), k_of(f))
 
 
 def test_inversion_reflects_center():
-    f = gaussian_isotypic(0, center=1.0)
+    f = shifted_gaussian(0, center=1.0)
     g = inversion(f)
     grid = f.log_profile.grid
     expected = np.exp(-0.5 * (grid + 1.0) ** 2)
@@ -135,14 +140,14 @@ def test_gamma_transform_is_unitary_pointwise():
 
 
 def test_gamma_inverse_recovers():
-    f = gaussian_isotypic(2, center=-0.4)
+    f = shifted_gaussian(2, center=-0.4)
     g = gamma_inverse(gamma_transform(f))
     assert np.max(np.abs(psi_of(g) - psi_of(f))) < 1e-13
 
 
 def test_gamma_transform_is_linear():
-    a = gaussian_isotypic(1, center=0.5)
-    b = gaussian_isotypic(1, center=-0.7, width=1.3)
+    a = shifted_gaussian(1, center=0.5)
+    b = shifted_gaussian(1, center=-0.7, width=1.3)
     psi = a.spectral_profile
     combo = IsotypicFunction(
         1, type(psi)(psi.spacing, psi.half_width, 2.0 * psi_of(a) + 3.0 * psi_of(b))
@@ -161,7 +166,7 @@ def test_omega_is_fourier_fixed_point():
 
 def test_fourier_square_is_parity_sign():
     for n in (0, 1, 2, 3):
-        f = gaussian_isotypic(n, center=0.7, width=0.9)
+        f = shifted_gaussian(n, center=0.7, width=0.9)
         ff = fourier_transform(fourier_transform(f))
         sign = (-1.0) ** n
         assert np.max(np.abs(psi_of(ff) - sign * psi_of(f))) < 1e-13
@@ -171,14 +176,14 @@ def test_fourier_square_is_parity_sign():
 
 
 def test_op_a_vanishes_at_identity():
-    f = gaussian_isotypic(2, width=0.8)
+    f = shifted_gaussian(2, width=0.8)
     # (v*K)(0) = 0 regardless of the profile
     assert abs(value_at_identity(op_A(f))) < 1e-12
 
 
 def test_h_splits_as_a_plus_b():
     for n in (0, 1, 3):
-        f = gaussian_isotypic(n, center=0.5)
+        f = shifted_gaussian(n, center=0.5)
         a, b, h = op_A(f), op_B(f), op_H(f)
         assert np.max(np.abs(psi_of(h) - psi_of(a) - psi_of(b))) < 1e-14
         assert np.max(np.abs(k_of(h) - k_of(a) - k_of(b))) < 1e-12
@@ -200,14 +205,14 @@ def test_h_value_at_identity_is_resolution_stable():
 
 
 def test_h_commutes_with_inversion():
-    f = gaussian_isotypic(1, center=0.4, width=1.1)
+    f = shifted_gaussian(1, center=0.4, width=1.1)
     lhs = psi_of(op_H(inversion(f)))
     rhs = psi_of(inversion(op_H(f)))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_k_anticommutes_with_inversion():
-    f = gaussian_isotypic(1, center=0.4, width=1.1)
+    f = shifted_gaussian(1, center=0.4, width=1.1)
     lhs = psi_of(op_K(inversion(f)))
     rhs = psi_of(inversion(op_K(f)))
     assert np.max(np.abs(lhs + rhs)) < 1e-12
@@ -215,7 +220,7 @@ def test_k_anticommutes_with_inversion():
 
 def test_commutator_of_b_and_a_is_k():
     for n in (0, 1, 2):
-        f = gaussian_isotypic(n, center=0.3, width=0.9)
+        f = shifted_gaussian(n, center=0.3, width=0.9)
         lhs = 1j * (psi_of(op_B(op_A(f))) - psi_of(op_A(op_B(f))))
         rhs = psi_of(op_K(f))
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -223,7 +228,7 @@ def test_commutator_of_b_and_a_is_k():
 
 def test_b_is_gamma_conjugate_of_minus_a():
     for n in (0, 2):
-        f = gaussian_isotypic(n, center=-0.6)
+        f = shifted_gaussian(n, center=-0.6)
         lhs = psi_of(op_B(f))
         rhs = -psi_of(gamma_transform(op_A(gamma_inverse(f))))
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -234,11 +239,11 @@ def test_b_is_gamma_conjugate_of_minus_a():
 
 def test_additive_value_at_identity():
     phi = to_additive(gaussian_isotypic(0))
-    assert abs(phi(Quaternion(1.0)) - 1.0 / SQRT_2PI2) < 1e-12
+    assert abs(phi.evaluate_points([1.0, 0.0, 0.0, 0.0])[0] - 1.0 / SQRT_2PI2) < 1e-12
 
 
 def test_additive_matches_polar_factorization():
-    f = gaussian_isotypic(2, center=0.2)
+    f = shifted_gaussian(2, center=0.2)
     phi = to_additive(f)
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(8, 4))
@@ -269,14 +274,15 @@ def test_additive_masks_outside_window():
 
 def test_additive_rejects_zero():
     phi = to_additive(gaussian_isotypic(0))
-    with pytest.raises(ValueError):
-        phi(Quaternion(0.0))
+    with pytest.raises(ValueError, match="at 0 is undefined"):
+        phi.evaluate_points([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
 
 
 def test_additive_call_matches_vectorized():
-    phi = to_additive(gaussian_isotypic(1, center=-0.3))
+    phi = to_additive(shifted_gaussian(1, center=-0.3))
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(5, 4))
     vec = phi.evaluate_points(pts)
-    one_by_one = np.array([phi(p) for p in pts])
+    # one row of four reads as one point
+    one_by_one = np.array([phi.evaluate_points(p)[0] for p in pts])
     assert np.max(np.abs(vec - one_by_one)) < 1e-15

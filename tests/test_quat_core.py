@@ -1,16 +1,32 @@
 """The quaternion product, the additive character and the 4D Fourier kernel.
 
-The package needs no scalar quaternion arithmetic, so the product lives
+The package needs no scalar quaternion type or arithmetic (it reads
+points as rows of four coordinates), so the type and the product live
 here as the reference that pins brute_fourier's kernel; the 2x2 complex
 matrix representations (_matrix_reps) are an independent model of the
 product, used here as its oracle."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from quatgamma.additive_oracle import Grid4D, GridFunction, brute_fourier
-from quatgamma.quat_core import Quaternion
+
+
+@dataclass(frozen=True)
+class Quaternion:
+    """x0 + x1*i + x2*j + x3*k with real coordinates."""
+
+    x0: float
+    x1: float = 0.0
+    x2: float = 0.0
+    x3: float = 0.0
+
+    @property
+    def coords(self) -> tuple:
+        return (self.x0, self.x1, self.x2, self.x3)
 
 
 def mul(p: Quaternion, q: Quaternion) -> Quaternion:
@@ -131,7 +147,8 @@ def test_character_values():
     rng = np.random.default_rng(23)
     probes = [Quaternion(*rng.uniform(-1.0, 1.0, 4)) for _ in range(5)]
     probes.append(Quaternion(0.5))  # Re(x y) = 1/4: the kernel is -1
-    got = brute_fourier(GridFunction(box, values.reshape(7, -1), np.arange(7**3).reshape(7, 7, 7)), probes)
+    rows = [y.coords for y in probes]
+    got = brute_fourier(GridFunction(box, values.reshape(7, -1), np.arange(7**3).reshape(7, 7, 7)), rows)
     want = [4.0 * box.spacing**4 * _character(mul(x, y)).conjugate() for y in probes]
     assert np.max(np.abs(got - want)) <= 1e-14
     assert abs(got[-1] + 4.0 * box.spacing**4) <= 1e-15

@@ -14,13 +14,19 @@ import pytest
 from scipy.fft import next_fast_len
 
 from quatgamma import AliasingError, DecayError, spectral_line
-from quatgamma.gamma_op import gamma_transform, gaussian_isotypic, op_B, op_H
+from quatgamma.gamma_op import (
+    IsotypicFunction,
+    gamma_transform,
+    gaussian_isotypic,
+    op_B,
+    op_H,
+    value_at_identity,
+)
 from quatgamma.specfun import gamma_multiplier
 from quatgamma.spectral_line import (
     Profile,
     _bluestein,
     _unit_chirp_sum,
-    evaluate_at_one,
     from_spectral,
     profile_value,
     to_spectral,
@@ -30,6 +36,12 @@ from quatgamma.spectral_line import (
 # |v| <= 16 against |tau| <= 64, both at spacing 1/64
 LOG_GRID = (1.0 / 64.0, 16.0)
 TAU_GRID = (1.0 / 64.0, 64.0)
+
+
+def evaluate_at_one(psi: Profile) -> complex:
+    """K(0) = (1/2pi) int psi dtau: value_at_identity in sector 0, where
+    chi_0 = 1, read on LOG_GRID."""
+    return value_at_identity(IsotypicFunction(0, psi, *LOG_GRID))
 
 
 def _grid(spacing: float, half_width: float) -> np.ndarray:
@@ -327,7 +339,7 @@ def test_profile_value_scalar_empty_and_shape():
     peak = np.max(np.abs(g.log_profile.samples))
     for v in (0.3, -17.25, 500.0):
         val = profile_value(psi, v)
-        assert isinstance(val, complex)
+        assert isinstance(val, np.ndarray) and val.shape == () and val.dtype == complex
         assert abs(val - _profile_value_direct(psi, np.array([v]))[0]) <= 1e-12 * peak
     empty = profile_value(psi, np.array([]))
     assert empty.shape == (0,) and empty.dtype == complex
