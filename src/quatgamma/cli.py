@@ -65,10 +65,6 @@ _MAX_ORACLE_PROBE_WORK = 6 * (_MAX_ORACLE_GRID_M**3 + _ORACLE_PROBE_OVERHEAD)
 _MAX_TRACE_DIRECT_BYTES = 1e9
 _TRACE_DIRECT_BYTES_PER_NODE = 100
 
-# half-width of the log window trace_spectral integrates over
-# (gamma_op.DEFAULT_V_HALF_WIDTH); the kink -2 log(cutoff) must lie inside it
-_SPECTRAL_HALF_WIDTH = 64.0
-
 # largest sector functional-eq runs: the moment quadrature's own limit
 # (additive_oracle._MOMENT_QUADRATURE_MAX_N)
 _MAX_MOMENT_N = 337
@@ -223,31 +219,28 @@ def _trace_direct_bytes(lam: float) -> float:
 
 
 def _parse_lambdas(text: str) -> Tuple[float, ...]:
+    """Cutoffs by TraceConfig's rules, within the direct route's memory
+    limit, which also keeps every kink -2 log(cutoff) in the v-window."""
     try:
         vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise _UsageError(f"--lambda-list must be comma-separated reals, got {text!r}")
     if not vals:
         raise _UsageError("--lambda-list is empty")
-    if not all(math.isfinite(v) for v in vals):
-        raise _UsageError(f"--lambda-list must be finite, got {text!r}")
-    top = max(vals)  # both limits grow with the cutoff
-    if top > 1.0 and 2.0 * math.log(top) >= _SPECTRAL_HALF_WIDTH:
+    if not all(1.0 < v < math.inf for v in vals):
+        raise _UsageError(f"--lambda-list cutoffs must be finite and exceed 1, got {text!r}")
+    if any(b <= a for a, b in zip(vals, vals[1:])):
+        raise _UsageError(f"--lambda-list must be strictly increasing, got {text!r}")
+    if _trace_direct_bytes(vals[-1]) > _MAX_TRACE_DIRECT_BYTES:
         raise _UsageError(
-            f"--lambda-list cutoff {top:g} puts the kink -2 log(cutoff) outside "
-            f"the spectral window [-{_SPECTRAL_HALF_WIDTH:g}, {_SPECTRAL_HALF_WIDTH:g}]; "
-            f"cutoffs must stay below e^{_SPECTRAL_HALF_WIDTH / 2:g}"
-        )
-    if top > 1.0 and _trace_direct_bytes(top) > _MAX_TRACE_DIRECT_BYTES:
-        raise _UsageError(
-            f"--lambda-list cutoff {top:g} needs about "
-            f"{_trace_direct_bytes(top) / 1e9:.1f} GB for the direct route's "
+            f"--lambda-list cutoff {vals[-1]:g} needs about "
+            f"{_trace_direct_bytes(vals[-1]) / 1e9:.1f} GB for the direct route's "
             f"node arrays; the limit is {_MAX_TRACE_DIRECT_BYTES / 1e9:.1f} GB"
         )
     return vals
 
 
-def _tau_grid(args: argparse.Namespace, sectors: range):
+def _tau_count(args: argparse.Namespace, sectors: range) -> int:
     if None in (args.tau_min, args.tau_max, args.tau_step):
         raise _UsageError("--tau-min, --tau-max and --tau-step are all required")
     if args.tau_step <= 0.0:
@@ -257,9 +250,7 @@ def _tau_grid(args: argparse.Namespace, sectors: range):
     span = (args.tau_max - args.tau_min) / args.tau_step
     count = int(math.floor(span + 0.5)) + 1 if math.isfinite(span) else math.inf
     _check_table_size(sectors, count, "the tau grid")
-    import numpy as np
-
-    return args.tau_min + args.tau_step * np.arange(count)
+    return count
 
 
 def _sector_range(args: argparse.Namespace) -> range:
@@ -289,16 +280,16 @@ def cmd_gamma_table(args: argparse.Namespace) -> _Output:
     tau_mode = not (args.tau_min is None and args.tau_max is None and args.tau_step is None)
     if tau_mode == (args.s_grid is not None):
         raise _UsageError("give either --s-grid or the --tau-min/--tau-max/--tau-step trio")
+    grid = _tau_count(args, sectors) if tau_mode else _parse_s_grid(args.s_grid, sectors)
 
     import numpy as np
 
     from .specfun import gamma_factor
 
     if tau_mode:
-        taus = _tau_grid(args, sectors)
-        svals = 0.5 + 1j * taus
+        svals = 0.5 + 1j * (args.tau_min + args.tau_step * np.arange(grid))
     else:
-        svals = np.asarray(_parse_s_grid(args.s_grid, sectors), dtype=complex)
+        svals = np.asarray(grid, dtype=complex)
 
     blocks = []
     unit_err = 0.0
@@ -318,12 +309,13 @@ def cmd_gamma_table(args: argparse.Namespace) -> _Output:
 
 def cmd_spectral_scan(args: argparse.Namespace) -> _Output:
     sectors = _sector_range(args)
+    count = _tau_count(args, sectors)
 
     import numpy as np
 
     from .specfun import h_multiplier, k_multiplier
 
-    taus = _tau_grid(args, sectors)
+    taus = args.tau_min + args.tau_step * np.arange(count)
 
     blocks = []
     min_h = math.inf
@@ -445,8 +437,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> _Output:
 def cmd_trace_sweep(args: argparse.Namespace) -> _Output:
     if args.n_min < 0:
         raise _UsageError("--n-min must be >= 0")
-    if args.profile_width <= 0.0:
-        raise _UsageError("--profile-width must be positive")
     if args.tol <= 0.0:
         raise _UsageError("--tol must be positive")
     lambdas = _parse_lambdas(args.lambda_list)
@@ -454,17 +444,10 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Output:
     import numpy as np
 
     from .connes_trace import TraceConfig, residual_sweep, trace_direct
-    from .gamma_op import IsotypicFunction, value_at_identity
+    from .gamma_op import gaussian_isotypic, value_at_identity
 
-    scale = args.profile_scale
-    width = args.profile_width
-    f = IsotypicFunction.from_log_function(
-        args.n_min, lambda v: scale * np.exp(-0.5 * (v / width) ** 2)
-    )
-    try:
-        config = TraceConfig(f=f, lambdas=lambdas, tolerance=args.tol)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    f = gaussian_isotypic(args.n_min)
+    config = TraceConfig(f=f, lambdas=lambdas, tolerance=args.tol)
 
     results = residual_sweep(config)
     rows = []
@@ -485,12 +468,9 @@ def cmd_trace_sweep(args: argparse.Namespace) -> _Output:
 
 
 def cmd_g_constant(args: argparse.Namespace) -> _Output:
-    if args.tol < 1e-10:
-        raise _UsageError("--tol must be at least 1e-10")
-
     from .specfun import G_CONSTANT, gamma0_expansion
 
-    c1, c2 = gamma0_expansion(order=2, tol=args.tol)
+    c1, c2 = gamma0_expansion()
     figures = {
         "epsilon_coefficient": c1,
         "epsilon2_coefficient": c2,
@@ -559,14 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace-sweep", help="truncated trace by both routes")
     _add_sector_flags(p, with_max=False)
     p.add_argument("--lambda-list", default="2,4,8,16,32,64", help="comma-separated cutoffs")
-    p.add_argument("--profile-width", type=_finite_float, default=1.0, help="Gaussian width in v")
-    p.add_argument("--profile-scale", type=_finite_float, default=1.0, help="profile amplitude")
     p.add_argument("--tol", type=_finite_float, default=1e-8, help="tolerance of both trace routes")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_trace_sweep)
 
     p = sub.add_parser("g-constant", help="expansion constant of the moment pole")
-    p.add_argument("--tol", type=_finite_float, default=1e-7, help="largest gap of the 32- and 64-point rules")
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(func=cmd_g_constant)
 

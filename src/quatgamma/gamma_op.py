@@ -17,8 +17,8 @@ side K is derived on each read and never stored; only A (and B via A) reads it.
 
 Grid policy, owned here: functions are built by default with spacing 1/64
 on the windows |v| <= 64 and |tau| <= 64 (the four DEFAULT_* constants;
-the CLI copies the v half-width to refuse cutoffs before numpy loads, and
-a test pins the copy).  Outputs of H, B, and the Gamma operator have
+the CLI's memory limit on trace-sweep cutoffs refuses every kink outside
+|v| <= 64, and a test pins that).  Outputs of H, B, and the Gamma operator have
 e^{-|v|/2} tails (the multiplier's analytic continuation has a pole half a
 unit off the line), which fall below 1e-13 at |v| = 64.
 """
@@ -65,8 +65,8 @@ class IsotypicFunction:
 
     N: int
     spectral_profile: Profile
-    v_spacing: float = DEFAULT_V_SPACING
-    v_half_width: float = DEFAULT_V_HALF_WIDTH
+    v_spacing: float
+    v_half_width: float
 
     def __post_init__(self) -> None:
         check_spectral(self.spectral_profile, self.v_spacing, self.v_half_width)
@@ -77,12 +77,11 @@ class IsotypicFunction:
         N: int,
         fn: Callable[[np.ndarray], np.ndarray],
         v_spacing: float = DEFAULT_V_SPACING,
-        v_half_width: float = DEFAULT_V_HALF_WIDTH,
         tau_spacing: float = DEFAULT_TAU_SPACING,
         tau_half_width: float = DEFAULT_TAU_HALF_WIDTH,
     ) -> "IsotypicFunction":
-        profile = Profile.from_function(fn, v_spacing, v_half_width)
-        return cls(N, to_spectral(profile, tau_spacing, tau_half_width), v_spacing, v_half_width)
+        profile = Profile.from_function(fn, v_spacing, DEFAULT_V_HALF_WIDTH)
+        return cls(N, to_spectral(profile, tau_spacing, tau_half_width), v_spacing, DEFAULT_V_HALF_WIDTH)
 
     @property
     def log_profile(self) -> Profile:

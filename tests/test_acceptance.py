@@ -180,7 +180,7 @@ def test_criterion_05_spectral_derivatives(capsys):
 
 
 def test_criterion_06_expansion_constant(capsys):
-    _, c2 = gamma0_expansion(order=2)
+    _, c2 = gamma0_expansion()
     closed = 4.0 * LOG_2PI + 4.0 * np.euler_gamma - 2.0
     diff = abs(c2 - closed)
     ok = diff <= 1e-12 and abs(closed - 7.6603709252) <= 1e-9

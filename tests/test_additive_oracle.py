@@ -38,6 +38,9 @@ from quatgamma.additive_oracle import (
     radial_fourier,
 )
 from quatgamma.gamma_op import (
+    DEFAULT_TAU_HALF_WIDTH,
+    DEFAULT_TAU_SPACING,
+    DEFAULT_V_SPACING,
     SQRT_2PI2,
     IsotypicFunction,
     fourier_transform,
@@ -50,7 +53,7 @@ from quatgamma.gamma_op import (
     value_at_identity,
 )
 from quatgamma.specfun import G_CONSTANT, gamma_factor, gamma_log_derivative
-from quatgamma.spectral_line import profile_value
+from quatgamma.spectral_line import Profile, profile_value, to_spectral
 from quatgamma.su2_angular import _chebyshev_u, character
 
 
@@ -825,12 +828,15 @@ def test_hecke_eigenfunctions(N):
 
 def _pin_profile(N, centre=-0.3, width=0.3, v_half_width=16.0):
     # narrow and off-centre, complex: the additive tail clears the decay
-    # guard on the L = 1.7 box, and the character and spline both matter
-    return IsotypicFunction.from_log_function(
-        N,
+    # guard on the L = 1.7 box, and the character and spline both matter;
+    # the v-window is narrowed from the default |v| <= 64
+    k = Profile.from_function(
         lambda v: np.exp(-((v - centre) ** 2) / (2.0 * width**2)) * (1.0 + 0.5j * v),
-        v_half_width=v_half_width,
+        DEFAULT_V_SPACING,
+        v_half_width,
     )
+    psi = to_spectral(k, DEFAULT_TAU_SPACING, DEFAULT_TAU_HALF_WIDTH)
+    return IsotypicFunction(N, psi, DEFAULT_V_SPACING, v_half_width)
 
 
 @pytest.mark.parametrize("L", [2.0, 1.7])

@@ -44,12 +44,9 @@ DEFAULTED_PARAMETERS = {
     "quatgamma.connes_trace.trace_direct": ("tol", "v_min"),
     "quatgamma.gamma_op.IsotypicFunction.from_log_function": (
         "v_spacing",
-        "v_half_width",
         "tau_spacing",
         "tau_half_width",
     ),
-    "quatgamma.gamma_op.IsotypicFunction.__init__": ("v_spacing", "v_half_width"),
-    "quatgamma.specfun.gamma0_expansion": ("tol",),
 }
 
 
@@ -77,4 +74,4 @@ def test_defaulted_parameters_are_pinned():
     for name in MODULES:
         found.update(_defaulted_parameters(importlib.import_module(name)))
     assert found == DEFAULTED_PARAMETERS
-    assert sum(len(names) for names in found.values()) == 19
+    assert sum(len(names) for names in found.values()) == 15

@@ -167,10 +167,7 @@ FLOAT_FLAGS = [
     ("gamma-table", TAU_0_1, "--tau-step"),
     ("spectral-scan", TAU_0_1, "--tau-step"),
     ("oracle-check", [], "--grid-l"),
-    ("trace-sweep", ["--lambda-list", "2,4"], "--profile-width"),
-    ("trace-sweep", ["--lambda-list", "2,4"], "--profile-scale"),
     ("trace-sweep", ["--lambda-list", "2,4"], "--tol"),
-    ("g-constant", [], "--tol"),
 ]
 
 
@@ -398,37 +395,130 @@ def test_oracle_check_decay_failure_exits_1(capsys):
     assert err.startswith("numerical failure: 4D decay surrogate: estimate ")
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--seed", "-1"], "--seed must be at least 0, got -1"),
-        (["--probes", "10000000"], "--probes 10000000 at --grid-m 33 needs 3.79e+11 units of work"),
-        (["--grid-m", "3", "--probes", "27100"], "(27100 x (3^3 + 2000))"),
-        (["--grid-m", "209", "--probes", "7"], "the limit is 5.48e+07, 6 probes at --grid-m 209"),
-        # work exactly at the limit passes the work check and reaches the seed
-        # check; one probe more is refused for its work first
-        (["--grid-m", "209", "--probes", "6", "--seed", "-1"], "--seed must be at least 0, got -1"),
-        (["--grid-m", "209", "--probes", "7", "--seed", "-1"], "the limit is 5.48e+07, 6 probes at --grid-m 209"),
-    ],
-    ids=["negative-seed", "many-probes", "small-box-probes", "one-probe-over", "at-work-limit", "over-work-limit"],
-)
-def test_oracle_check_refusals_before_numpy(flags, message, tmp_path):
+TINY_TAU_STEP = ["--tau-min", "-1", "--tau-max", "1", "--tau-step", "1e-300"]
+NO_TRIO = "--tau-min, --tau-max and --tau-step are all required"
+ONE_GRID = "give either --s-grid or the --tau-min/--tau-max/--tau-step trio"
+ROW_CAP = "the limit is 1000000 table rows"
+
+# one row per refusal kind of every subcommand with one: its id, argv (less
+# --out) and a part of its message
+REFUSALS = [
+    ("gamma-table-n-min", ["gamma-table", "--n-min", "-1", "--s-grid", "2x2"], "--n-min must be >= 0"),
+    ("gamma-table-n-max", ["gamma-table", "--n-min", "2", "--n-max", "0", "--s-grid", "2x2"],
+     "--n-max must be at least --n-min"),
+    ("gamma-table-no-grid", ["gamma-table"], ONE_GRID),
+    ("gamma-table-two-grids", ["gamma-table", "--s-grid", "2x2", *TAU_0_1], ONE_GRID),
+    ("gamma-table-s-grid-format", ["gamma-table", "--s-grid", "bogus"], "--s-grid must look like 20x20, got 'bogus'"),
+    ("gamma-table-s-grid-rows", ["gamma-table", "--n-max", "4", "--s-grid", "2000x2000"],
+     "--s-grid gives 5 sectors x 4e+06 points per sector; " + ROW_CAP),
+    ("gamma-table-no-trio", ["gamma-table", "--tau-min", "0"], NO_TRIO),
+    ("gamma-table-tau-step", ["gamma-table", "--tau-min", "0", "--tau-max", "1", "--tau-step", "-1"],
+     "--tau-step must be positive"),
+    ("gamma-table-tau-order", ["gamma-table", "--tau-min", "1", "--tau-max", "0", "--tau-step", "0.5"],
+     "--tau-max must be at least --tau-min"),
+    ("gamma-table-tau-rows", ["gamma-table", *TINY_TAU_STEP], "the tau grid gives 1 sectors x 2e+300 points"),
+    ("spectral-scan-n-min", ["spectral-scan", "--n-min", "-1", *TAU_0_1], "--n-min must be >= 0"),
+    ("spectral-scan-n-max", ["spectral-scan", "--n-min", "1", *TAU_0_1], "--n-max must be at least --n-min"),
+    ("spectral-scan-no-trio", ["spectral-scan"], NO_TRIO),
+    ("spectral-scan-tau-step", ["spectral-scan", "--tau-min", "0", "--tau-max", "1", "--tau-step", "0"],
+     "--tau-step must be positive"),
+    ("spectral-scan-tau-order", ["spectral-scan", "--tau-min", "1", "--tau-max", "0", "--tau-step", "0.5"],
+     "--tau-max must be at least --tau-min"),
+    ("spectral-scan-tau-rows", ["spectral-scan", "--n-max", "999", "--tau-min", "-1", "--tau-max", "1",
+                                "--tau-step", "0.002"], "the tau grid gives 1000 sectors x 1e+03 points"),
+    ("functional-eq-n-min", ["functional-eq", "--n-min", "-1"], "--n-min must be >= 0"),
+    ("functional-eq-n-max", ["functional-eq", "--n-min", "3"], "--n-max must be at least --n-min"),
+    ("functional-eq-moments", ["functional-eq", "--n-max", "338"], "--n-max 338 is above 337"),
+    ("functional-eq-s-grid-format", ["functional-eq", "--s-grid", "20"], "--s-grid must look like 20x20, got '20'"),
+    ("functional-eq-s-grid-rows", ["functional-eq", "--s-grid", "1001x1000"], ROW_CAP),
+    ("oracle-check-probes", ["oracle-check", "--probes", "0"], "--probes must be at least 1"),
+    ("oracle-check-grid-m", ["oracle-check", "--grid-m", "16"], "--grid-m must be an odd integer >= 3"),
+    ("oracle-check-grid-l", ["oracle-check", "--grid-l", "-1"], "--grid-l must be positive"),
+    ("oracle-check-box", ["oracle-check", "--grid-m", "211"], "--grid-m 211 needs about 0.59 GB"),
+    ("negative-seed", ["oracle-check", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    ("many-probes", ["oracle-check", "--probes", "10000000"],
+     "--probes 10000000 at --grid-m 33 needs 3.79e+11 units of work"),
+    ("small-box-probes", ["oracle-check", "--grid-m", "3", "--probes", "27100"], "(27100 x (3^3 + 2000))"),
+    ("one-probe-over", ["oracle-check", "--grid-m", "209", "--probes", "7"],
+     "the limit is 5.48e+07, 6 probes at --grid-m 209"),
+    # work exactly at the limit passes the work check and reaches the seed
+    # check; one probe more is refused for its work first
+    ("at-work-limit", ["oracle-check", "--grid-m", "209", "--probes", "6", "--seed", "-1"],
+     "--seed must be at least 0, got -1"),
+    ("over-work-limit", ["oracle-check", "--grid-m", "209", "--probes", "7", "--seed", "-1"],
+     "the limit is 5.48e+07, 6 probes at --grid-m 209"),
+    ("trace-sweep-n-min", ["trace-sweep", "--n-min", "-1"], "--n-min must be >= 0"),
+    ("trace-sweep-tol", ["trace-sweep", "--tol", "0"], "--tol must be positive"),
+    ("trace-sweep-empty", ["trace-sweep", "--lambda-list", ","], "--lambda-list is empty"),
+    ("trace-sweep-not-reals", ["trace-sweep", "--lambda-list", "2,x"], "--lambda-list must be comma-separated reals"),
+    ("trace-sweep-not-finite", ["trace-sweep", "--lambda-list", "2,inf"],
+     "--lambda-list cutoffs must be finite and exceed 1, got '2,inf'"),
+    ("trace-sweep-below-one", ["trace-sweep", "--lambda-list", "0.5,2"],
+     "--lambda-list cutoffs must be finite and exceed 1, got '0.5,2'"),
+    ("trace-sweep-decreasing", ["trace-sweep", "--lambda-list", "4,2"],
+     "--lambda-list must be strictly increasing, got '4,2'"),
+    ("trace-sweep-repeated", ["trace-sweep", "--lambda-list", "2,2"],
+     "--lambda-list must be strictly increasing, got '2,2'"),
+    ("trace-sweep-memory", ["trace-sweep", "--lambda-list", "2,1e12"], "cutoff 1e+12 needs about 4.8 GB"),
+    # the kink of e^32 leaves the spectral window; the memory limit refuses it
+    ("trace-sweep-window", ["trace-sweep", "--lambda-list", repr(math.exp(32.0))], "cutoff 7.8963e+13 needs about 42.7 GB"),
+]
+
+# runs each argv through main in one interpreter that refuses to import
+# numpy or scipy, and reports per argv: exit code, stderr, the numerical
+# imports tried, whether numpy is loaded and the files left in the cwd
+_REFUSAL_RUNNER = """
+import contextlib, io, json, os, sys
+
+class NoNumerics:
+    tried = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "scipy"):
+            self.tried.append(name)
+            raise ImportError(name + " imported before the refusal")
+
+sys.meta_path.insert(0, NoNumerics())
+from quatgamma.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    NoNumerics.tried = []
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--out", "never.out"])
+        except Exception as exc:
+            code = repr(exc)
+    files = sorted(os.listdir("."))
+    for name in files:
+        os.remove(name)
+    results.append([code, err.getvalue(), NoNumerics.tried, "numpy" in sys.modules, files])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def refusals(tmp_path_factory):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = (
-        "import sys\n"
-        "from quatgamma.cli import main\n"
-        f"print(main(['oracle-check', *{flags!r}, '--out', 'never.json']), 'numpy' in sys.modules)\n"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", _REFUSAL_RUNNER, json.dumps([argv for _, argv, _ in REFUSALS])],
         capture_output=True,
         text=True,
-        cwd=tmp_path,
+        cwd=tmp_path_factory.mktemp("refusals"),
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.stdout.split() == ["2", "False"], proc.stderr
-    assert message in proc.stderr
-    assert list(tmp_path.iterdir()) == []
+    assert proc.returncode == 0, proc.stderr
+    return dict(zip((name for name, _, _ in REFUSALS), json.loads(proc.stdout)))
+
+
+@pytest.mark.parametrize("name, argv, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals_before_numpy(name, argv, message, refusals):
+    # every refusal exits 2 from the arguments alone: no numerical import,
+    # no file written
+    code, err, tried, numpy_loaded, files = refusals[name]
+    assert (code, tried, numpy_loaded, files) == (2, [], False, []), err
+    assert err.startswith("error: ") and message in err
 
 
 def test_oracle_check_accepts_grid_above_old_limit(capsys):
@@ -462,13 +552,6 @@ def test_trace_sweep_table(tmp_path):
     assert summary["max_route_discrepancy"] <= 1e-7
 
 
-def test_trace_sweep_zero_profile(tmp_path):
-    out = tmp_path / "tz.csv"
-    assert main(["trace-sweep", "--lambda-list", "2,4", "--profile-scale", "0", "--out", str(out)]) == 0
-    _, _, rows = read_table(out)
-    assert all(float(cell) == 0.0 for row in rows for cell in row[1:])
-
-
 def test_trace_sweep_validation(tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["trace-sweep", "--lambda-list", "2,2", "--out", out]) == 2
@@ -477,7 +560,6 @@ def test_trace_sweep_validation(tmp_path):
     assert main(["trace-sweep", "--lambda-list", "4,2", "--out", out]) == 2
     assert main(["trace-sweep", "--lambda-list", "0.5", "--out", out]) == 2
     assert main(["trace-sweep", "--lambda-list", "nope", "--out", out]) == 2
-    assert main(["trace-sweep", "--lambda-list", "2,4", "--profile-width", "0", "--out", out]) == 2
 
 
 def test_trace_sweep_numerical_failure_exits_1(tmp_path, capsys):
@@ -517,12 +599,13 @@ def test_trace_sweep_refuses_oversized_cutoff(tmp_path):
     with pytest.raises(cli._UsageError, match=r"cutoff 7e\+13 needs about 40\.2 GB"):
         cli._parse_lambdas("7e13")
     # from e^32 on, the kink -2 log(cutoff) <= -64 falls outside
-    # trace_spectral's log window [-64, 64]
+    # trace_spectral's log window [-64, 64]; the memory limit refuses
+    # those cutoffs first, so the CLI never reaches the window check
     from quatgamma.gamma_op import DEFAULT_V_HALF_WIDTH
 
-    assert cli._SPECTRAL_HALF_WIDTH == DEFAULT_V_HALF_WIDTH
+    assert cli._trace_direct_bytes(math.exp(DEFAULT_V_HALF_WIDTH / 2)) > cli._MAX_TRACE_DIRECT_BYTES
     for text in (repr(math.exp(32.0)), "1e14", "1e300"):
-        with pytest.raises(cli._UsageError, match="outside the spectral window"):
+        with pytest.raises(cli._UsageError, match="GB for the direct route's node arrays"):
             cli._parse_lambdas("2," + text)
     out = tmp_path / "t.csv"
     assert main(["trace-sweep", "--lambda-list", repr(math.exp(32.0)), "--out", str(out)]) == 2
@@ -557,17 +640,13 @@ def test_g_constant_rerun_prints_identically(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_g_constant_tolerance_floor():
-    assert main(["g-constant", "--tol", "1e-11"]) == 2
-
-
 def test_parser_is_built_once():
     # main reuses one parser (test_g_constant_rerun_prints_identically runs
     # it twice in process); a parse leaves nothing behind for the next
     parser = cli.build_parser()
     assert cli.build_parser() is parser
-    assert parser.parse_args(["g-constant", "--tol", "1e-9"]).tol == 1e-9
-    assert parser.parse_args(["g-constant"]).tol == 1e-7
+    assert parser.parse_args(["trace-sweep", "--tol", "1e-9", "--out", "t.csv"]).tol == 1e-9
+    assert parser.parse_args(["trace-sweep", "--out", "t.csv"]).tol == 1e-8
 
 
 # ------------------------------------------------------------------- plumbing
@@ -584,8 +663,8 @@ README_MANIFESTS = [
     ("oracle-check --grid-m 33 --grid-l 2.0 --probes 6 --seed 7 --out oracle.json",
      {"grid_l": 2.0, "grid_m": 33, "probes": 6, "seed": 7}),
     ("trace-sweep --n-min 0 --lambda-list 2,4,8,16,32,64 --out trace.csv",
-     {"lambda_list": "2,4,8,16,32,64", "n_min": 0, "profile_scale": 1.0, "profile_width": 1.0, "tol": 1e-08}),
-    ("g-constant", {"tol": 1e-07}),
+     {"lambda_list": "2,4,8,16,32,64", "n_min": 0, "tol": 1e-08}),
+    ("g-constant", {}),
 ]
 
 

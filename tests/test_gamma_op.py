@@ -14,6 +14,7 @@ import pytest
 
 from quatgamma import AliasingError, DecayError, gamma_op
 from quatgamma.gamma_op import (
+    DEFAULT_V_HALF_WIDTH,
     SQRT_2PI2,
     IsotypicFunction,
     fourier_transform,
@@ -70,7 +71,7 @@ def test_gaussian_isotypic_value_at_identity():
 
 def test_from_spectral_profile_roundtrip():
     f = shifted_gaussian(2, center=0.3)
-    g = IsotypicFunction(2, f.spectral_profile)
+    g = IsotypicFunction(2, f.spectral_profile, f.v_spacing, f.v_half_width)
     samples = np.exp(-0.5 * (g.log_profile.grid - 0.3) ** 2)
     assert np.max(np.abs(k_of(g) - samples)) < 1e-12
 
@@ -85,7 +86,7 @@ def test_construction_refuses_aliasing_v_grid():
     psi = gaussian_isotypic(0).spectral_profile
     # v-spacing 1 against tau half-width 64: 64 > pi
     with pytest.raises(AliasingError):
-        IsotypicFunction(0, psi, v_spacing=1.0)
+        IsotypicFunction(0, psi, 1.0, DEFAULT_V_HALF_WIDTH)
 
 
 def test_log_profile_is_derived_only_when_read(monkeypatch):
@@ -150,7 +151,10 @@ def test_gamma_transform_is_linear():
     b = shifted_gaussian(1, center=-0.7, width=1.3)
     psi = a.spectral_profile
     combo = IsotypicFunction(
-        1, type(psi)(psi.spacing, psi.half_width, 2.0 * psi_of(a) + 3.0 * psi_of(b))
+        1,
+        type(psi)(psi.spacing, psi.half_width, 2.0 * psi_of(a) + 3.0 * psi_of(b)),
+        a.v_spacing,
+        a.v_half_width,
     )
     lhs = psi_of(gamma_transform(combo))
     rhs = 2.0 * psi_of(gamma_transform(a)) + 3.0 * psi_of(gamma_transform(b))

@@ -101,7 +101,7 @@ def test_nan_spectral_sample_is_a_decay_error(standard):
     with pytest.raises(DecayError):
         check_spectral(psi, standard.v_spacing, standard.v_half_width)
     with pytest.raises(DecayError):
-        IsotypicFunction(0, psi)
+        IsotypicFunction(0, psi, standard.v_spacing, standard.v_half_width)
 
 
 def test_nan_spacing_is_an_aliasing_error(standard):
@@ -143,7 +143,7 @@ def test_nan_log_gamma_fails_gamma0_expansion(monkeypatch):
     # numpy flags exp(nan); the guard, not that warning, must stop the call
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonConvergenceError, match="^gamma0_expansion: coefficient c1, .* estimate nan "):
-            gamma0_expansion(2)
+            gamma0_expansion()
 
 
 def test_radial_fourier_stops_at_the_first_nan_gap():
@@ -200,7 +200,8 @@ def _radial_zero_tolerance(monkeypatch):
 
 
 def _gamma0_tiny_tolerance(monkeypatch):
-    gamma0_expansion(3, tol=1e-17)
+    monkeypatch.setattr(specfun, "_GAMMA0_TOL", 1e-17)
+    gamma0_expansion()
 
 
 GUARDS = [

@@ -342,49 +342,34 @@ def test_line_multipliers_on_half_of_a_symmetric_grid(multiplier, kernel, monkey
 
 
 def test_gamma0_expansion_coefficients():
-    c1, c2 = gamma0_expansion(2)
+    c1, c2 = gamma0_expansion()
     assert abs(c1 - 1.0) <= 1e-14
     # the circle rule sits at rounding: about 2e-15 on c2
     assert abs(c2 - EPS2_COEFF) <= 1e-13
     assert abs(c2 - (-h_multiplier(0, 0.0) - 2.0)) <= 1e-13
 
 
-def test_gamma0_expansion_third_order():
-    c1, c2, c3 = gamma0_expansion(3)
-    # hand-derived: (log G)''(0) = 4 psi'(2) - 4 psi'(1) = -4, so
-    # c3 = c2^2/2 - 2
-    assert abs(c3 - (c2**2 / 2.0 - 2.0)) <= 1e-12
-    assert abs(c3 - (EPS2_COEFF**2 / 2.0 - 2.0)) <= 1e-12
-
-
-def test_gamma0_expansion_guards():
-    with pytest.raises(ValueError):
-        gamma0_expansion(4)
-    # the 32- and 64-point rules differ by 2e-16 (c1) to 1e-14 (c3)
+def test_gamma0_expansion_guards(monkeypatch):
+    # the 32- and 64-point rules differ by 2.2e-16 (c1) and 2.3e-16 (c2)
+    assert specfun._GAMMA0_TOL == 1e-12
+    monkeypatch.setattr(specfun, "_GAMMA0_TOL", 1e-17)
     match = (r"^gamma0_expansion: coefficient c\d, 32- against 64-point circle rule: "
              r"estimate \S+ not within tolerance 1\.000e-17$")
     with pytest.raises(NonConvergenceError, match=match):
-        gamma0_expansion(3, tol=1e-17)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-7])
-def test_gamma0_expansion_refuses_a_tolerance_that_checks_nothing(tol):
-    # gap > nan is always False: a NaN tol returned the coefficients unchecked
-    with pytest.raises(ValueError, match="^tol must be finite and at least 0"):
-        gamma0_expansion(2, tol=tol)
+        gamma0_expansion()
 
 
 def test_gamma0_expansion_reads_no_polygamma(monkeypatch):
     # c2 checks the closed form -h_0(0) - 2, so the route must not share
     # the digamma path behind h_multiplier (nor trigamma, nor gamma_factor)
-    want = gamma0_expansion(3)
+    want = gamma0_expansion()
 
     def refuse(*args, **kwargs):
         raise AssertionError("gamma0_expansion read a polygamma route")
 
     for name in ("digamma", "trigamma", "psi", "gamma_factor", "h_multiplier"):
         monkeypatch.setattr(specfun, name, refuse)
-    assert gamma0_expansion(3) == want
+    assert gamma0_expansion() == want
 
 
 # ------------------------------------------------------ multiplier symmetries
